@@ -18,13 +18,19 @@
 //!   push-based `ALL` and `ALL+FILTER` baselines (paper §VI-B3, Olston
 //!   adaptive filters) would have spent on the same data stream, giving
 //!   per-query message-cost comparisons that share every tick of workload
-//!   dynamics with the digest engine being audited;
+//!   dynamics with the digest engine being audited. Filter state lives in
+//!   a dense `(node, slot)` table, so an observe is one pass over the
+//!   database that allocates nothing once the table has grown;
 //! * [`chrome::chrome_trace_json`] — exports a collected telemetry event
 //!   stream (with its causal `trace` envelopes) to Chrome/Perfetto
 //!   trace-event JSON for timeline inspection.
 //!
 //! [`observer::QueryAudit`] bundles the three behind one `TickObserver`
 //! and renders the end-of-run [`auditor::AuditReport`].
+//! [`observer::MuxAudit`] audits every member of a multiplexed run and
+//! shares one ledger among members with the same `(expression,
+//! predicate, ε)` key; each member's report is still identical to a
+//! standalone `QueryAudit`'s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,18 +5,25 @@
 //! pointwise resolution check, per reporting occasion it feeds the
 //! guarantee auditor, and at end of run it folds everything into a single
 //! [`AuditReport`].
+//!
+//! [`MuxAudit`] does the same for every member of a multiplexed run, but
+//! shares one ledger among members with the same `(expression, predicate,
+//! ε)` filter key: their `ALL` / `ALL+FILTER` accounts are identical by
+//! construction, so the shared ledger observes the database once per tick
+//! instead of once per member.
 
 use crate::auditor::{AuditReport, Auditor, AuditorConfig};
-use crate::ledger::MessageLedger;
+use crate::ledger::{LedgerTotals, MessageLedger};
 use crate::Result;
 use digest_core::{ContinuousQuery, MuxObserver, TickContext, TickObserver, TickOutcome};
 use std::collections::BTreeMap;
 
-/// Full guarantee audit of one continuous query over one run.
+/// Everything one query's audit tracks except the message ledger: the
+/// guarantee auditor, the digest's own message count, and the pointwise
+/// resolution check.
 #[derive(Debug)]
-pub struct QueryAudit {
+struct ContractAudit {
     auditor: Auditor,
-    ledger: MessageLedger,
     query: String,
     delta: f64,
     epsilon: f64,
@@ -27,14 +34,8 @@ pub struct QueryAudit {
     started: bool,
 }
 
-impl QueryAudit {
-    /// Builds the audit for `query`; `query_index` distinguishes events
-    /// of concurrent queries in one run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Auditor::new`].
-    pub fn new(query: &ContinuousQuery, query_index: u64) -> Result<Self> {
+impl ContractAudit {
+    fn new(query: &ContinuousQuery, query_index: u64) -> Result<Self> {
         // Kind-specific ε-semantics (DESIGN.md §17): `COUNT DISTINCT`
         // promises a relative half-width; everything else keeps the
         // paper's absolute §II contract.
@@ -46,14 +47,8 @@ impl QueryAudit {
             query_index,
             relative_epsilon,
         })?;
-        let ledger = MessageLedger::new(
-            query.expr.clone(),
-            query.predicate.clone(),
-            query.precision.epsilon,
-        );
         Ok(Self {
             auditor,
-            ledger,
             query: query.to_string(),
             delta: query.precision.delta,
             epsilon: query.precision.epsilon,
@@ -65,10 +60,7 @@ impl QueryAudit {
         })
     }
 
-    /// Freezes the audit into its end-of-run report.
-    #[must_use]
-    pub fn report(&self) -> AuditReport {
-        let totals = self.ledger.totals();
+    fn report(&self, totals: LedgerTotals) -> AuditReport {
         self.auditor.report(
             self.query.clone(),
             self.ticks,
@@ -79,11 +71,7 @@ impl QueryAudit {
         )
     }
 
-    /// Observes one tick, optionally attributing the occasion to a
-    /// coalesced multi-query sampling round (the round's trace id lands
-    /// on the emitted `audit.occasion` event). [`TickObserver::observe`]
-    /// is this with `round = None`.
-    pub fn observe_with_round(
+    fn observe(
         &mut self,
         ctx: &TickContext<'_>,
         outcome: &TickOutcome,
@@ -92,7 +80,6 @@ impl QueryAudit {
     ) {
         self.ticks += 1;
         self.digest_messages += outcome.messages_this_tick;
-        self.ledger.observe(ctx.db);
         if outcome.snapshot_executed {
             self.started = true;
             self.auditor.observe_occasion_in_round(
@@ -119,20 +106,95 @@ impl QueryAudit {
     }
 }
 
+/// Full guarantee audit of one continuous query over one run.
+#[derive(Debug)]
+pub struct QueryAudit {
+    contract: ContractAudit,
+    ledger: MessageLedger,
+}
+
+impl QueryAudit {
+    /// Builds the audit for `query`; `query_index` distinguishes events
+    /// of concurrent queries in one run.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Auditor::new`].
+    pub fn new(query: &ContinuousQuery, query_index: u64) -> Result<Self> {
+        Ok(Self {
+            contract: ContractAudit::new(query, query_index)?,
+            ledger: MessageLedger::new(
+                query.expr.clone(),
+                query.predicate.clone(),
+                query.precision.epsilon,
+            ),
+        })
+    }
+
+    /// Freezes the audit into its end-of-run report.
+    #[must_use]
+    pub fn report(&self) -> AuditReport {
+        self.contract.report(self.ledger.totals())
+    }
+
+    /// Observes one tick, optionally attributing the occasion to a
+    /// coalesced multi-query sampling round (the round's trace id lands
+    /// on the emitted `audit.occasion` event). [`TickObserver::observe`]
+    /// is this with `round = None`.
+    pub fn observe_with_round(
+        &mut self,
+        ctx: &TickContext<'_>,
+        outcome: &TickOutcome,
+        exact: f64,
+        round: Option<u64>,
+    ) {
+        self.ledger.observe(ctx.db);
+        self.contract.observe(ctx, outcome, exact, round);
+    }
+}
+
 impl TickObserver for QueryAudit {
     fn observe(&mut self, ctx: &TickContext<'_>, outcome: &TickOutcome, exact: f64) {
         self.observe_with_round(ctx, outcome, exact, None);
     }
 }
 
-/// Guarantee audit of a whole multiplexed run: one [`QueryAudit`] per
+/// One ledger shared by the mux members with the same filter key.
+#[derive(Debug)]
+struct LedgerGroup {
+    ledger: MessageLedger,
+    /// The `ctx.tick` of the group's latest observe (`None` = never).
+    last_tick: Option<u64>,
+}
+
+/// One member of a [`MuxAudit`].
+#[derive(Debug)]
+struct MuxMember {
+    contract: ContractAudit,
+    /// Index into [`MuxAudit::groups`].
+    group: usize,
+    /// The group ledger's totals as of this member's latest observe.
+    totals: LedgerTotals,
+}
+
+/// Guarantee audit of a whole multiplexed run: one contract audit per
 /// member query, driven through the [`MuxObserver`] seam so every member
 /// gets its own `audit.occasion` stream (own ε-violation and resolution
 /// accounting against its own `(δ, ε, p)` contract), with occasions served
 /// from coalesced rounds causally parented to the round's trace id.
+///
+/// Message ledgers are shared: members with the same `(expression,
+/// predicate, ε)` key read one ledger, observed once per `ctx.tick`, and
+/// each member reports the ledger's totals as of its own latest observe.
+/// A member joins an existing ledger only while that ledger has observed
+/// nothing yet; a member registered mid-run gets a fresh one. Every
+/// member's report is therefore identical to a standalone [`QueryAudit`]
+/// fed the same ticks, provided every live member is observed on every
+/// tick — which [`digest_core::QueryMux::on_tick_mux`] guarantees.
 #[derive(Debug, Default)]
 pub struct MuxAudit {
-    audits: BTreeMap<u64, QueryAudit>,
+    members: BTreeMap<u64, MuxMember>,
+    groups: Vec<LedgerGroup>,
 }
 
 impl MuxAudit {
@@ -149,28 +211,56 @@ impl MuxAudit {
     ///
     /// As for [`QueryAudit::new`].
     pub fn register(&mut self, id: u64, query: &ContinuousQuery) -> Result<()> {
-        self.audits.insert(id, QueryAudit::new(query, id)?);
+        let contract = ContractAudit::new(query, id)?;
+        let (expr, predicate, epsilon) = (&query.expr, &query.predicate, query.precision.epsilon);
+        let unobserved_match = self
+            .groups
+            .iter()
+            .position(|g| g.last_tick.is_none() && g.ledger.has_filter(expr, predicate, epsilon));
+        let group = unobserved_match.unwrap_or_else(|| {
+            self.groups.push(LedgerGroup {
+                ledger: MessageLedger::new(expr.clone(), predicate.clone(), epsilon),
+                last_tick: None,
+            });
+            self.groups.len() - 1
+        });
+        self.members.insert(
+            id,
+            MuxMember {
+                contract,
+                group,
+                totals: LedgerTotals::default(),
+            },
+        );
         Ok(())
     }
 
-    /// The audit attached to member `id`.
+    /// The end-of-run report of member `id`.
     #[must_use]
-    pub fn audit(&self, id: u64) -> Option<&QueryAudit> {
-        self.audits.get(&id)
+    pub fn report(&self, id: u64) -> Option<AuditReport> {
+        self.members
+            .get(&id)
+            .map(|member| member.contract.report(member.totals))
     }
 
     /// Member ids in ascending order.
     #[must_use]
     pub fn ids(&self) -> Vec<u64> {
-        self.audits.keys().copied().collect()
+        self.members.keys().copied().collect()
+    }
+
+    /// Distinct message ledgers behind the members.
+    #[must_use]
+    pub fn ledgers(&self) -> usize {
+        self.groups.len()
     }
 
     /// End-of-run reports for every member, ascending by id.
     #[must_use]
     pub fn reports(&self) -> Vec<(u64, AuditReport)> {
-        self.audits
+        self.members
             .iter()
-            .map(|(&id, audit)| (id, audit.report()))
+            .map(|(&id, member)| (id, member.contract.report(member.totals)))
             .collect()
     }
 }
@@ -184,9 +274,18 @@ impl MuxObserver for MuxAudit {
         exact: f64,
         round: Option<u64>,
     ) {
-        if let Some(audit) = self.audits.get_mut(&query) {
-            audit.observe_with_round(ctx, outcome, exact, round);
+        let Some(member) = self.members.get_mut(&query) else {
+            return;
+        };
+        let Some(group) = self.groups.get_mut(member.group) else {
+            return;
+        };
+        if group.last_tick != Some(ctx.tick) {
+            group.ledger.observe(ctx.db);
+            group.last_tick = Some(ctx.tick);
         }
+        member.totals = group.ledger.totals();
+        member.contract.observe(ctx, outcome, exact, round);
     }
 }
 

@@ -5,8 +5,10 @@
 //! attached (ground-truth oracle, confidence calibration, message-cost
 //! ledger) — and reports the wall-clock delta next to the audit findings.
 //! The per-tick traces of both legs must be bit-identical (the observer
-//! is passive by contract); the bench exits non-zero if they diverge, so
-//! the CI smoke run doubles as an enforcement point.
+//! is passive by contract), and the audited leg may allocate at most
+//! [`MAX_ALLOC_RATIO`] times the plain leg's bytes; the bench exits
+//! non-zero if either fails, so the CI smoke run doubles as an
+//! enforcement point.
 //!
 //! Timings are wall-clock and therefore machine-dependent; the JSON is a
 //! profiling artefact, not a determinism surface.
@@ -28,6 +30,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const TICKS: u64 = 120;
 const SEED: u64 = 20080402;
+/// Ceiling on audited-leg bytes allocated over plain-leg bytes: the
+/// ledger's filter table grows once and is reused, so auditing must not
+/// multiply the run's allocation.
+const MAX_ALLOC_RATIO: f64 = 2.0;
 
 fn run_leg(scale: Scale, audit: Option<&mut QueryAudit>) -> (RunReport, f64) {
     let mut workload = temperature(scale, 0);
@@ -99,6 +105,10 @@ fn main() -> ExitCode {
                     && a.snapshot == b.snapshot
             });
 
+    #[allow(clippy::cast_precision_loss)]
+    let alloc_ratio = audited_alloc.bytes as f64 / plain_alloc.bytes.max(1) as f64;
+    let alloc_ratio_ok = alloc_ratio <= MAX_ALLOC_RATIO;
+
     let report = audit.report();
     let ticks = plain_report.ticks().max(1);
     #[allow(clippy::cast_precision_loss)]
@@ -137,6 +147,9 @@ fn main() -> ExitCode {
         report.filter_messages,
     );
     println!("traces identical across legs: {identical}");
+    println!(
+        "allocated bytes audited/plain: {alloc_ratio:.2}x (gate <= {MAX_ALLOC_RATIO:.1}x): {alloc_ratio_ok}"
+    );
 
     let out = json!({
         "benchmark": "BENCH_audit",
@@ -149,6 +162,8 @@ fn main() -> ExitCode {
         "traces_identical": identical,
         "plain_alloc": plain_alloc.to_json(),
         "audited_alloc": audited_alloc.to_json(),
+        "alloc_ratio": alloc_ratio,
+        "alloc_ratio_ok": alloc_ratio_ok,
         "report": report.to_json_value(),
         "memory": memory_json(),
     });
@@ -169,10 +184,16 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("warning: cannot create {}: {e}", path.display()),
     }
 
-    if identical {
-        ExitCode::SUCCESS
-    } else {
+    if !identical {
         eprintln!("FAILED: the audit observer perturbed the run");
-        ExitCode::FAILURE
+        return ExitCode::FAILURE;
     }
+    if !alloc_ratio_ok {
+        eprintln!(
+            "FAILED: the audited leg allocated {alloc_ratio:.2}x the plain leg's bytes \
+             (gate <= {MAX_ALLOC_RATIO:.1}x)"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -580,7 +580,7 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
                     "tick",
                     &[
                         ("estimate", Field::F64(outcome.estimate)),
-                        ("exact", Field::F64(world.exact_aggregate())),
+                        ("exact", Field::F64(exact)),
                         ("snapshot", Field::Bool(outcome.snapshot_executed)),
                         ("samples", Field::U64(outcome.samples_this_tick)),
                         ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
