@@ -261,7 +261,6 @@ fn report_mode(
             "snapshot": {
                 "built": m.snapshot.built,
                 "reused": m.snapshot.reused,
-                "patched": m.snapshot.patched,
             },
         }));
     }
@@ -321,8 +320,8 @@ fn profile_phases(
     println!("  walks          : {walk_ns:>12} ns");
     println!("  dispatch+reasm : {reassembly_ns:>12} ns");
     println!(
-        "  snapshot cache : {} built, {} reused, {} patched",
-        snapshot.built, snapshot.reused, snapshot.patched
+        "  snapshot cache : {} built, {} reused",
+        snapshot.built, snapshot.reused
     );
     println!();
     (phases, snapshot)
@@ -449,7 +448,6 @@ fn main() {
         "snapshot": {
             "built": snapshot.built,
             "reused": snapshot.reused,
-            "patched": snapshot.patched,
         },
         "snapshot_reuses": snapshot.reused,
         "runs": steady_runs,

@@ -29,7 +29,8 @@ use digest_bench::metrics::{memory_json, AllocSnapshot, CountingAlloc};
 use digest_bench::{banner, temperature, Scale};
 use digest_core::{AggregateOp, ContinuousQuery, Precision, SketchSweepEstimator};
 use digest_db::Expr;
-use digest_sketch::{splitmix64, HllSketch, SpaceSavingSketch, UddSketch};
+use digest_sketch::{HllSketch, SpaceSavingSketch, UddSketch};
+use digest_stats::splitmix64;
 use digest_workload::Workload;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

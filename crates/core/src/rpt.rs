@@ -477,7 +477,6 @@ mod tests {
             reset_length: 8,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap()
     }

@@ -7,9 +7,10 @@
 //! rule of paper §IV-B2a).
 //!
 //! The adjacency representation is a flat structure-of-arrays arena: one
-//! shared neighbor pool plus per-node `(offset, len, cap)` rows — the
-//! same CSR-style layout the sampling operator's `SnapshotCache` builds
-//! per occasion, now native to the graph itself. Compared with the old
+//! shared neighbor pool plus per-node `(offset, len, cap)` rows. The
+//! sampling operator walks this arena directly and keeps only its M–H
+//! tables beside it, indexed by arena slot ([`Graph::arena_row`]).
+//! Compared with the old
 //! slot-vector-of-`Vec` layout this removes one heap allocation and one
 //! pointer indirection per node, which is what lets 10⁶-node overlays
 //! fit in cache-friendly memory. Rows grow by relocation to the arena
@@ -39,12 +40,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Capacity of the structural-change journal. Past this many entries
-/// between two snapshot captures the journal overflows and consumers
-/// fall back to a full rebuild — the cap bounds Graph memory while
-/// keeping every realistic per-tick churn delta patchable.
-const JOURNAL_CAP: usize = 1024;
-
 /// Pool size below which compaction is never attempted (compacting tiny
 /// pools churns allocations for no measurable win).
 const COMPACT_MIN_POOL: usize = 1024;
@@ -52,11 +47,12 @@ const COMPACT_MIN_POOL: usize = 1024;
 /// An undirected simple graph over [`NodeId`]s.
 ///
 /// Every structural mutation (node join/leave, edge add/remove) bumps a
-/// monotonically increasing **mutation epoch** and records the touched
-/// node ids in a bounded journal, so consumers that cache derived views
-/// of the topology (e.g. the sampling operator's per-occasion CSR
-/// snapshot) can detect staleness in O(1) via [`Graph::epoch`] and
-/// patch incrementally via [`Graph::changes_since`].
+/// monotonically increasing **mutation epoch**, so consumers that cache
+/// tables derived from the topology (e.g. the sampling operator's
+/// per-edge acceptance table, indexed by arena slot) can detect
+/// staleness in O(1) via [`Graph::epoch`]. Arena slots move only inside
+/// epoch-bumping mutations (row relocation, compaction), so a slot-indexed
+/// side table stays valid exactly while the epoch holds.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     /// Start of each ever-allocated id's neighbor row inside `pool`.
@@ -80,11 +76,6 @@ pub struct Graph {
     edge_count: usize,
     /// Monotonic mutation counter; bumped by every structural change.
     epoch: u64,
-    /// `(epoch, node)` entries for nodes whose adjacency/liveness changed.
-    journal: Vec<(u64, NodeId)>,
-    /// Earliest epoch from which `journal` is complete; requests for
-    /// changes since an older epoch must fall back to a full rebuild.
-    journal_floor: u64,
 }
 
 impl Graph {
@@ -108,8 +99,6 @@ impl Graph {
             live_pos: Vec::with_capacity(n),
             edge_count: 0,
             epoch: 0,
-            journal: Vec::new(),
-            journal_floor: 0,
         }
     }
 
@@ -123,53 +112,9 @@ impl Graph {
         self.epoch
     }
 
-    /// The node ids whose adjacency or liveness changed since `since`
-    /// (an epoch previously read from [`Graph::epoch`]), sorted and
-    /// deduplicated — or `None` if the delta cannot be produced and the
-    /// caller must rebuild its view from scratch. That happens when
-    ///
-    /// * the bounded journal overflowed and no longer reaches back to
-    ///   `since`, or
-    /// * `since` lies **beyond** the current epoch — a mark taken from a
-    ///   different (or since-replaced) graph. Only `since == epoch`
-    ///   means "no change"; a future mark can never certify anything
-    ///   about *this* topology, so it demands a rebuild rather than
-    ///   silently reporting an empty delta.
-    #[must_use]
-    pub fn changes_since(&self, since: u64) -> Option<Vec<NodeId>> {
-        if since == self.epoch {
-            return Some(Vec::new());
-        }
-        if since > self.epoch || since < self.journal_floor {
-            return None;
-        }
-        let mut out: Vec<NodeId> = self
-            .journal
-            .iter()
-            .filter(|&&(epoch, _)| epoch > since)
-            .map(|&(_, id)| id)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
     /// Bumps the mutation epoch (one structural change is being applied).
     fn bump_epoch(&mut self) {
         self.epoch += 1;
-    }
-
-    /// Records `id` as touched by the current epoch's change. On
-    /// overflow the journal restarts from the current epoch: dropped
-    /// entries all carry epochs ≤ the new floor, so completeness for
-    /// `since ≥ floor` is preserved and [`Graph::changes_since`] answers
-    /// `None` (forcing a rebuild) for every mark older than the floor.
-    fn record_change(&mut self, id: NodeId) {
-        if self.journal.len() >= JOURNAL_CAP {
-            self.journal.clear();
-            self.journal_floor = self.epoch;
-        }
-        self.journal.push((self.epoch, id));
     }
 
     /// The neighbor row of `i` as an arena span (valid for live rows).
@@ -254,7 +199,6 @@ impl Graph {
         self.live_pos.push(self.live.len());
         self.live.push(id);
         self.bump_epoch();
-        self.record_change(id);
         id
     }
 
@@ -276,10 +220,9 @@ impl Graph {
         self.row_cap[i] = 0;
         self.edge_count -= neighbors.len();
         self.bump_epoch();
-        self.record_change(id);
         for nb in neighbors {
-            if self.contains(nb) && self.remove_neighbor(nb, id) {
-                self.record_change(nb);
+            if self.contains(nb) {
+                self.remove_neighbor(nb, id);
             }
         }
         // Remove from the dense live list by swap-remove. The list is
@@ -326,8 +269,6 @@ impl Graph {
         self.push_neighbor(b, a);
         self.edge_count += 1;
         self.bump_epoch();
-        self.record_change(a);
-        self.record_change(b);
         Ok(true)
     }
 
@@ -350,8 +291,6 @@ impl Graph {
         self.remove_neighbor(b, a);
         self.edge_count -= 1;
         self.bump_epoch();
-        self.record_change(a);
-        self.record_change(b);
         Ok(true)
     }
 
@@ -368,6 +307,23 @@ impl Graph {
             self.row(id.0 as usize)
         } else {
             &[]
+        }
+    }
+
+    /// The neighbor list of `id` together with the arena slot of its
+    /// first entry, so `slot + k` names neighbor `k`'s slot in the shared
+    /// neighbor arena — the index of tables kept beside the graph, valid
+    /// while [`Graph::epoch`] holds. `(0, &[])` for unknown nodes.
+    /// xtask: no-alloc
+    #[must_use]
+    #[inline]
+    pub fn arena_row(&self, id: NodeId) -> (usize, &[NodeId]) {
+        // Departed rows are zeroed on removal, so no liveness check is
+        // needed: they read as `(0, &[])` like unknown ids.
+        let i = id.0 as usize;
+        match (self.row_off.get(i), self.row_len.get(i)) {
+            (Some(&off), Some(&len)) => (off, self.pool.get(off..off + len).unwrap_or(&[])),
+            _ => (0, &[]),
         }
     }
 
@@ -528,7 +484,7 @@ impl Graph {
     }
 
     /// Heap bytes held by the adjacency arena and its per-row tables
-    /// (excluding the journal and live-list bookkeeping). Exposed so
+    /// (excluding the live-list bookkeeping). Exposed so
     /// benchmarks can track resident bytes/node across representations.
     #[must_use]
     pub fn adjacency_bytes(&self) -> usize {
@@ -754,59 +710,16 @@ mod tests {
     }
 
     #[test]
-    fn changes_since_reports_touched_nodes() {
+    fn arena_row_names_the_slots_of_the_neighbor_list() {
         let (mut g, a, b, c) = triangle();
-        let mark = g.epoch();
-        assert_eq!(g.changes_since(mark).unwrap(), Vec::<NodeId>::new());
-
-        g.remove_edge(a, b).unwrap();
-        assert_eq!(g.changes_since(mark).unwrap(), vec![a, b]);
-
-        // Removing a node dirties it and all its (remaining) neighbors.
-        g.remove_node(c).unwrap();
-        assert_eq!(g.changes_since(mark).unwrap(), vec![a, b, c]);
-
-        // A fresh mark sees only later changes.
-        let mark2 = g.epoch();
-        let d = g.add_node();
-        g.add_edge(a, d).unwrap();
-        assert_eq!(g.changes_since(mark2).unwrap(), vec![a, d]);
-    }
-
-    #[test]
-    fn journal_overflow_forces_full_rebuild_only_for_old_marks() {
-        let mut g = Graph::new();
-        let ids: Vec<NodeId> = (0..4).map(|_| g.add_node()).collect();
-        let old_mark = g.epoch();
-        // Far more than JOURNAL_CAP changes: toggle one edge repeatedly.
-        for _ in 0..2000 {
-            g.add_edge(ids[0], ids[1]).unwrap();
-            g.remove_edge(ids[0], ids[1]).unwrap();
+        for v in [a, b, c] {
+            let (start, row) = g.arena_row(v);
+            assert_eq!(row, g.neighbors(v));
+            assert_eq!(&g.pool[start..start + row.len()], row);
         }
-        assert!(
-            g.changes_since(old_mark).is_none(),
-            "overflowed journal must demand a full rebuild"
-        );
-        // A mark taken now is trackable again.
-        let new_mark = g.epoch();
-        g.add_edge(ids[2], ids[3]).unwrap();
-        assert_eq!(g.changes_since(new_mark).unwrap(), vec![ids[2], ids[3]]);
-    }
-
-    #[test]
-    fn changes_since_future_mark_demands_rebuild() {
-        // A mark beyond the current epoch (taken from a different graph,
-        // or from one that has since been swapped out underneath the
-        // cache) must force a rebuild, never report "no changes".
-        let (mut g, a, b, _) = triangle();
-        assert!(g.changes_since(g.epoch() + 1).is_none());
-        assert!(g.changes_since(u64::MAX).is_none());
-        // Equality still means "unchanged"…
-        assert_eq!(g.changes_since(g.epoch()).unwrap(), Vec::<NodeId>::new());
-        // …and ordinary past marks still patch.
-        let mark = g.epoch();
-        g.remove_edge(a, b).unwrap();
-        assert_eq!(g.changes_since(mark).unwrap(), vec![a, b]);
+        g.remove_node(a).unwrap();
+        assert_eq!(g.arena_row(a), (0, &[][..]));
+        assert_eq!(g.arena_row(NodeId(99)), (0, &[][..]));
     }
 
     #[test]

@@ -18,17 +18,12 @@
 //!   neighbors' values, and the whole store is a handful of allocations
 //!   regardless of N.
 //! * **CSR adjacency arena** — one shared neighbor pool plus per-row
-//!   `(offset, len, cap)`, exactly the layout the sampling operator's
-//!   per-occasion snapshots use. Bulk loads lay rows out back-to-back
+//!   `(offset, len, cap)`, the same layout as [`Graph`](crate::Graph)'s
+//!   arena. Bulk loads lay rows out back-to-back
 //!   with `cap == len` (a textbook CSR); incremental edge-adds relocate
 //!   a full row to the arena tail with doubled capacity, and compaction
 //!   reclaims garbage spans once they dominate — bounding the arena at
 //!   ≤ 2× the live edge entries.
-//! * **Dirty-row change journal** — structural changes bump an epoch and
-//!   record the touched row ids in a bounded journal with the same
-//!   contract as [`Graph::changes_since`](crate::Graph::changes_since):
-//!   marks the journal cannot cover (too old, or from a different
-//!   store) answer `None` and force consumers to rebuild.
 //!
 //! The accounting methods ([`NodeStore::bytes`],
 //! [`NodeStore::bytes_per_node`]) measure actual heap footprint so the
@@ -39,10 +34,6 @@ use crate::error::NetError;
 use crate::graph::NodeId;
 use crate::Result;
 use rand::Rng;
-
-/// Dirty-row journal bound; marks older than the floor established by an
-/// overflow answer `None` from [`NodeStore::dirty_rows_since`].
-const JOURNAL_CAP: usize = 4096;
 
 /// Pool size below which compaction is never attempted.
 const COMPACT_MIN_POOL: usize = 1024;
@@ -106,12 +97,6 @@ pub struct NodeStore {
     live_count: usize,
     /// Number of undirected edges.
     edge_count: usize,
-    /// Monotonic mutation counter; bumped by every structural change.
-    epoch: u64,
-    /// `(epoch, row)` entries for rows whose adjacency/liveness changed.
-    journal: Vec<(u64, u32)>,
-    /// Earliest epoch from which `journal` is complete.
-    journal_floor: u64,
 }
 
 impl NodeStore {
@@ -184,47 +169,6 @@ impl NodeStore {
         })
     }
 
-    /// The current mutation epoch (see [`Graph::epoch`](crate::Graph::epoch)).
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The row ids whose adjacency or liveness changed since `since`,
-    /// sorted and deduplicated — or `None` when the bounded journal
-    /// cannot cover the gap (overflow, or a mark from beyond this
-    /// store's epoch) and the consumer must rebuild.
-    #[must_use]
-    pub fn dirty_rows_since(&self, since: u64) -> Option<Vec<u32>> {
-        if since == self.epoch {
-            return Some(Vec::new());
-        }
-        if since > self.epoch || since < self.journal_floor {
-            return None;
-        }
-        let mut out: Vec<u32> = self
-            .journal
-            .iter()
-            .filter(|&&(epoch, _)| epoch > since)
-            .map(|&(_, id)| id)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
-    fn bump_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
-    fn record_change(&mut self, id: u32) {
-        if self.journal.len() >= JOURNAL_CAP {
-            self.journal.clear();
-            self.journal_floor = self.epoch;
-        }
-        self.journal.push((self.epoch, id));
-    }
-
     /// Adds a node (recycling a departed id when one is free) and
     /// returns its generation-tagged handle.
     ///
@@ -261,8 +205,6 @@ impl NodeStore {
             }
         };
         self.live_count += 1;
-        self.bump_epoch();
-        self.record_change(id);
         Ok(NodeRef {
             id,
             gen: self.gen[id as usize],
@@ -288,11 +230,9 @@ impl NodeStore {
         self.adj_cap[i] = 0;
         self.edge_count -= len;
         self.live_count -= 1;
-        self.bump_epoch();
-        self.record_change(id);
         for nb in neighbors {
-            if self.is_live(nb) && self.remove_neighbor_entry(nb, id) {
-                self.record_change(nb);
+            if self.is_live(nb) {
+                self.remove_neighbor_entry(nb, id);
             }
         }
         self.free.push(id);
@@ -328,8 +268,7 @@ impl NodeStore {
         self.is_live(id).then(|| self.value[id as usize])
     }
 
-    /// Overwrites the value column entry of a live id. Value updates are
-    /// not structural: no epoch bump, no journal entry.
+    /// Overwrites the value column entry of a live id.
     pub fn set_value(&mut self, id: u32, value: f64) -> bool {
         if self.is_live(id) {
             self.value[id as usize] = value;
@@ -380,9 +319,6 @@ impl NodeStore {
         self.push_neighbor(a, b)?;
         self.push_neighbor(b, a)?;
         self.edge_count += 1;
-        self.bump_epoch();
-        self.record_change(a);
-        self.record_change(b);
         Ok(true)
     }
 
@@ -403,9 +339,6 @@ impl NodeStore {
         }
         self.remove_neighbor_entry(b, a);
         self.edge_count -= 1;
-        self.bump_epoch();
-        self.record_change(a);
-        self.record_change(b);
         Ok(true)
     }
 
@@ -475,11 +408,6 @@ impl NodeStore {
         self.pool = pool;
         self.pool_garbage = 0;
         self.edge_count = edges.len();
-        self.bump_epoch();
-        // A bulk load touches everything: restart the journal so stale
-        // marks rebuild rather than chase a journal that skipped it.
-        self.journal.clear();
-        self.journal_floor = self.epoch;
         Ok(())
     }
 
@@ -593,8 +521,8 @@ impl NodeStore {
     }
 
     /// Total heap bytes held by the store: SoA columns, adjacency arena
-    /// (including slack capacity — this is *resident* accounting), free
-    /// list, and journal.
+    /// (including slack capacity — this is *resident* accounting), and
+    /// free list.
     #[must_use]
     pub fn bytes(&self) -> usize {
         self.value.capacity() * std::mem::size_of::<f64>()
@@ -605,7 +533,6 @@ impl NodeStore {
             + self.adj_cap.capacity() * std::mem::size_of::<u32>()
             + self.pool.capacity() * std::mem::size_of::<u32>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.journal.capacity() * std::mem::size_of::<(u64, u32)>()
     }
 
     /// Resident bytes per live node (the `bench_sim` gate metric).
@@ -735,25 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_rows_contract() {
-        let (mut s, refs) = store_with(3);
-        let mark = s.epoch();
-        assert_eq!(s.dirty_rows_since(mark).unwrap(), Vec::<u32>::new());
-        s.add_edge(refs[0].id(), refs[1].id()).unwrap();
-        assert_eq!(
-            s.dirty_rows_since(mark).unwrap(),
-            vec![refs[0].id(), refs[1].id()]
-        );
-        // Future marks and pre-floor marks demand rebuilds.
-        assert!(s.dirty_rows_since(s.epoch() + 1).is_none());
-        for _ in 0..(JOURNAL_CAP as u32 + 10) {
-            s.add_edge(refs[1].id(), refs[2].id()).unwrap();
-            s.remove_edge(refs[1].id(), refs[2].id()).unwrap();
-        }
-        assert!(s.dirty_rows_since(mark).is_none(), "overflowed journal");
-    }
-
-    #[test]
     fn compaction_bounds_arena_and_preserves_rows() {
         let (mut s, refs) = store_with(64);
         // Dense-ish edges to blow past COMPACT_MIN_POOL.
@@ -805,8 +713,7 @@ mod tests {
     #[test]
     fn bytes_accounting_is_positive_and_bounded() {
         // Pre-sized like bench_sim sizes its overlay: exact column
-        // reservations, compacted arena. The fixed ~128 KB journal
-        // amortizes away at scale, so measure at a scale-ish n.
+        // reservations, compacted arena.
         let n = 20_000usize;
         let mut s = NodeStore::with_capacity(n, n);
         let refs: Vec<NodeRef> = (0..n).map(|i| s.add_node(i as f64, 1.0).unwrap()).collect();

@@ -23,13 +23,15 @@
 //!   claim/publish protocol is model-checked against the vendored loom
 //!   stand-in under `RUSTFLAGS="--cfg loom"` (see [`crate::sync`] and
 //!   DESIGN.md §13).
-//! * **A cached occasion snapshot.** The operator refreshes a
-//!   [`OccasionSnapshot`] through its [`crate::snapshot::SnapshotCache`]
-//!   (reuse / patch / rebuild, see that module) and lends it here;
-//!   M–H proposals read the snapshot's CSR rows and precomputed
-//!   acceptance table instead of re-querying [`digest_net::Graph`] and
-//!   re-evaluating weights per step. Weights were validated at capture,
-//!   which is why the per-step walk below is infallible.
+//! * **M–H tables over the graph's own arena.** The operator refreshes
+//!   an [`OccasionSnapshot`] through its
+//!   [`crate::snapshot::SnapshotCache`] (reuse or rebuild, see that
+//!   module) and lends it here together with the [`Graph`] it was built
+//!   from. Walks read rows, neighbors and liveness straight from the
+//!   graph ([`Graph::arena_row`]) and the precomputed acceptance and
+//!   rejection thresholds from the snapshot, instead of re-evaluating
+//!   weights per step. Weights were validated at capture, which is why
+//!   the per-step walk below is infallible.
 //! * **Arena-recycled buffers.** Task, result, and outcome vectors live
 //!   in the operator's [`WalkArena`] and are reused across batches —
 //!   the steady-state dispatch path allocates nothing.
@@ -50,7 +52,8 @@ use crate::snapshot::{OccasionSnapshot, ACCEPT_ALWAYS};
 use crate::sync::{AtomicUsize, OnceLock, Ordering};
 use crate::Result;
 use digest_db::{P2PDatabase, Tuple, TupleHandle};
-use digest_net::NodeId;
+use digest_net::{Graph, NodeId};
+use digest_stats::splitmix64;
 use digest_telemetry::{registry as telemetry, Field, Stage};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -58,17 +61,6 @@ use rand_chacha::ChaCha8Rng;
 /// Retry budget for landing on a content-bearing node, matching the
 /// bounded loop in `SamplingOperator::sample_tuple`.
 const TUPLE_RETRY_LIMIT: usize = 64;
-
-/// SplitMix64 finalizer (Steele et al., "Fast splittable pseudorandom
-/// number generators") — used to derive well-separated per-slot seeds
-/// from the single occasion seed.
-/// xtask: no-alloc
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The seed of walk slot `slot`'s private RNG stream for this occasion.
 /// xtask: no-alloc
@@ -117,13 +109,16 @@ struct SlotTally {
 /// stream.
 const LAZY_THRESHOLD: u64 = 1 << 63;
 
-/// One cached walk position: the CSR row `(start, span)` of the current
-/// node plus its precomputed Lemire rejection threshold for the uniform
-/// proposal draw. Refreshed only when the walk actually moves, so lazy
-/// steps touch no snapshot memory at all.
+/// One cached walk position: the current node's neighbor row in the
+/// graph's arena, the arena slot of its first entry, and its
+/// precomputed Lemire rejection threshold for the uniform proposal draw.
+/// Refreshed only when the walk actually moves, so lazy steps touch no
+/// graph or table memory at all.
 #[derive(Clone, Copy)]
-struct CachedRow {
+struct CachedRow<'g> {
+    /// Arena slot of `neighbors[0]`: the acceptance table's index base.
     start: usize,
+    neighbors: &'g [NodeId],
     /// Degree as the `span` of the vendored `uniform_u64_below`.
     span: u64,
     /// `span.wrapping_neg() % span` — the modulo the vendored
@@ -153,49 +148,51 @@ fn sample_uniform_offset<R: RngCore + ?Sized>(rng: &mut R, span: u64, reject: u6
     }
 }
 
-/// A Metropolis walk advancing over an [`OccasionSnapshot`]. Must mirror
-/// [`MetropolisWalk::step`]'s RNG consumption order *exactly* — one
-/// laziness draw, then (non-lazy, with neighbors) one proposal draw and
-/// at most one acceptance draw — so the snapshot walk and the
-/// live-graph walk are interchangeable given the same stream (pinned by
-/// a unit test below). Every distribution call of the live step is
-/// unrolled to its integer core: laziness is a raw compare against
-/// [`LAZY_THRESHOLD`], the proposal is [`sample_uniform_offset`] over
-/// the cached row, and acceptance compares the 53 mantissa bits of one
-/// draw against the snapshot's precomputed per-edge threshold (which
-/// the snapshot module pins bit-identical to the live
-/// `gen_bool(ratio)`).
-struct SnapshotWalk {
+/// A Metropolis walk advancing over a [`Graph`] and its occasion
+/// [`OccasionSnapshot`]. Must mirror [`MetropolisWalk::step`]'s RNG
+/// consumption order *exactly* — one laziness draw, then (non-lazy, with
+/// neighbors) one proposal draw and at most one acceptance draw — so the
+/// table-driven walk and the live walk are interchangeable given the
+/// same stream (pinned by unit tests below). Every distribution call of
+/// the live step is unrolled to its integer core: laziness is a raw
+/// compare against [`LAZY_THRESHOLD`], the proposal is
+/// [`sample_uniform_offset`] over the cached row, and acceptance
+/// compares the 53 mantissa bits of one draw against the snapshot's
+/// precomputed per-edge threshold (which the snapshot module pins
+/// bit-identical to the live `gen_bool(ratio)`).
+struct SnapshotWalk<'g> {
     current: NodeId,
-    row: CachedRow,
+    row: CachedRow<'g>,
     tally: SlotTally,
 }
 
-impl SnapshotWalk {
+impl<'g> SnapshotWalk<'g> {
     /// xtask: no-alloc
-    fn cached_row(snap: &OccasionSnapshot, v: NodeId) -> CachedRow {
-        let (start, degree) = snap.row(v);
+    fn cached_row(g: &'g Graph, snap: &OccasionSnapshot, v: NodeId) -> CachedRow<'g> {
+        let (start, neighbors) = g.arena_row(v);
         CachedRow {
             start,
-            span: u64::try_from(degree).unwrap_or(u64::MAX),
+            neighbors,
+            span: u64::try_from(neighbors.len()).unwrap_or(u64::MAX),
             reject: snap.reject_threshold_of(v),
         }
     }
 
     /// xtask: no-alloc
-    fn new(start: NodeId, snap: &OccasionSnapshot) -> Self {
+    fn new(start: NodeId, g: &'g Graph, snap: &OccasionSnapshot) -> Self {
         Self {
             current: start,
-            row: Self::cached_row(snap, start),
+            row: Self::cached_row(g, snap, start),
             tally: SlotTally::default(),
         }
     }
 
-    /// One M–H step on the snapshot. Infallible: the snapshot never
-    /// changes under the walk and its weights were validated at build.
+    /// One M–H step. Infallible: the graph cannot change under the walk
+    /// (it is borrowed for the whole occasion) and the weights behind the
+    /// tables were validated at capture.
     /// xtask: no-alloc
     #[inline]
-    fn step<R: RngCore + ?Sized>(&mut self, snap: &OccasionSnapshot, rng: &mut R) {
+    fn step<R: RngCore + ?Sized>(&mut self, g: &'g Graph, snap: &OccasionSnapshot, rng: &mut R) {
         self.tally.steps += 1;
 
         // Laziness ½.
@@ -205,28 +202,35 @@ impl SnapshotWalk {
         }
         let CachedRow {
             start,
+            neighbors,
             span,
             reject,
         } = self.row;
         if span == 0 {
             return;
         }
-        let pick = start + sample_uniform_offset(rng, span, reject);
+        let pick = sample_uniform_offset(rng, span, reject);
         self.tally.proposals += 1;
 
-        let threshold = snap.accept_threshold_at(pick);
+        let threshold = snap.accept_threshold_at(start + pick);
         if threshold == ACCEPT_ALWAYS || (rng.next_u64() >> 11) < threshold {
-            self.current = snap.neighbor_at(pick);
-            self.row = Self::cached_row(snap, self.current);
+            self.current = neighbors.get(pick).copied().unwrap_or(self.current);
+            self.row = Self::cached_row(g, snap, self.current);
             self.tally.accepts += 1;
             self.tally.hops += 1;
         }
     }
 
     /// xtask: no-alloc
-    fn run<R: RngCore + ?Sized>(&mut self, snap: &OccasionSnapshot, steps: u64, rng: &mut R) {
+    fn run<R: RngCore + ?Sized>(
+        &mut self,
+        g: &'g Graph,
+        snap: &OccasionSnapshot,
+        steps: u64,
+        rng: &mut R,
+    ) {
         for _ in 0..steps {
-            self.step(snap, rng);
+            self.step(g, snap, rng);
         }
     }
 }
@@ -289,14 +293,15 @@ pub(crate) struct BatchRequest<'a> {
 
 fn run_slot(
     task: &SlotTask,
+    g: &Graph,
     snap: &OccasionSnapshot,
     db: &P2PDatabase,
     reset_length: u64,
 ) -> Result<SlotOutcome> {
     let mut rng = ChaCha8Rng::seed_from_u64(task.seed);
-    let mut walk = SnapshotWalk::new(task.start, snap);
+    let mut walk = SnapshotWalk::new(task.start, g, snap);
     let _span = digest_telemetry::span(Stage::SamplingWalk);
-    walk.run(snap, task.burn_in, &mut rng);
+    walk.run(g, snap, task.burn_in, &mut rng);
     // Before convergence a walk can sit on an empty node; walk reset
     // lengths until it lands on a content-bearing one (bounded, as in
     // the sequential `sample_tuple`).
@@ -320,7 +325,7 @@ fn run_slot(
                 },
             });
         }
-        walk.run(snap, reset_length, &mut rng);
+        walk.run(g, snap, reset_length, &mut rng);
     }
     Err(SamplingError::ZeroTotalWeight)
 }
@@ -362,19 +367,20 @@ fn flush_slot_telemetry(config: &SamplingConfig, outcome: &SlotOutcome) {
     digest_telemetry::emit_span_event(Stage::SamplingWalk, 0);
 }
 
-/// Runs one occasion's walk batch over the (cache-refreshed) snapshot,
-/// leaving the slot outcomes in `arena.outcomes` in slot order. See the
-/// module docs for the determinism model.
+/// Runs one occasion's walk batch over `g` and the tables `snapshot`
+/// was refreshed to for it, leaving the slot outcomes in
+/// `arena.outcomes` in slot order. See the module docs for the
+/// determinism model.
 ///
 /// # Errors
 ///
-/// * [`SamplingError::UnknownNode`] if `origin` is not live in the
-///   snapshot.
+/// * [`SamplingError::UnknownNode`] if `origin` is not live in `g`.
 /// * [`SamplingError::ZeroTotalWeight`] if a slot exhausts its
 ///   content-retry budget.
 /// * The lowest-slot error wins when several slots fail; on any error
 ///   `arena.outcomes` is empty.
 pub(crate) fn run_tuple_batch(
+    g: &Graph,
     db: &P2PDatabase,
     request: &BatchRequest<'_>,
     snapshot: &OccasionSnapshot,
@@ -382,7 +388,7 @@ pub(crate) fn run_tuple_batch(
 ) -> Result<()> {
     let _batch_span = digest_telemetry::span(Stage::SamplingBatch);
     arena.outcomes.clear();
-    if !snapshot.contains(request.origin) {
+    if !g.contains(request.origin) {
         return Err(SamplingError::UnknownNode(request.origin));
     }
 
@@ -394,7 +400,7 @@ pub(crate) fn run_tuple_batch(
             .continue_walks
             .then(|| request.pool.get(slot))
             .flatten()
-            .filter(|walk| snapshot.contains(walk.current()));
+            .filter(|walk| g.contains(walk.current()));
         let (start, fresh) = match pooled {
             Some(walk) => (walk.current(), false),
             None => (request.origin, true),
@@ -422,7 +428,7 @@ pub(crate) fn run_tuple_batch(
             let Some(task) = tasks.get(index) else {
                 return;
             };
-            let outcome = run_slot(task, snapshot, db, config.reset_length);
+            let outcome = run_slot(task, g, snapshot, db, config.reset_length);
             // Always true: `claim_slot` hands each index to one worker.
             let _ = publish_slot(&table[index], outcome);
         }
@@ -589,9 +595,11 @@ mod loom_tests {
 )]
 mod tests {
     use super::*;
+    use crate::snapshot::{SnapshotCache, SnapshotRefresh};
     use crate::weight::uniform_weight;
     use digest_net::topology;
-    use rand::RngCore;
+    use proptest::prelude::*;
+    use rand::{Rng, RngCore};
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -612,15 +620,156 @@ mod tests {
             let mut live_rng = rng(u64::from(seed));
             live.run(&g, &w, 300, &mut live_rng).unwrap();
 
-            let mut snapped = SnapshotWalk::new(start, &snap);
+            let mut snapped = SnapshotWalk::new(start, &g, &snap);
             let mut snap_rng = rng(u64::from(seed));
-            snapped.run(&snap, 300, &mut snap_rng);
+            snapped.run(&g, &snap, 300, &mut snap_rng);
 
             assert_eq!(snapped.current, live.current(), "seed {seed}");
             assert_eq!(snapped.tally.steps, live.steps(), "seed {seed}");
             assert_eq!(snapped.tally.hops, live.messages(), "seed {seed}");
             // Both walks must have drained the same amount of stream.
             assert_eq!(live_rng.next_u64(), snap_rng.next_u64());
+        }
+    }
+
+    /// A random live node of `g`.
+    fn any_node(g: &Graph, rng: &mut ChaCha8Rng) -> NodeId {
+        g.random_node(rng).unwrap()
+    }
+
+    /// Applies one scripted change between occasions. Returns whether the
+    /// arena was compacted along the way: pool capacity only ever grows,
+    /// except in compaction, which reallocates it to the live entries.
+    fn apply(g: &mut Graph, weights: &mut Vec<f64>, op: u8, rng: &mut ChaCha8Rng) -> bool {
+        let mut compacted = false;
+        let mut bytes = g.adjacency_bytes();
+        let mut track = |g: &Graph| {
+            compacted |= g.adjacency_bytes() < bytes;
+            bytes = g.adjacency_bytes();
+        };
+        match op {
+            // Join: a new node wired to a few live ones.
+            0 => {
+                let v = g.add_node();
+                weights.push(f64::from(rng.gen_range(0u32..8)));
+                for _ in 0..rng.gen_range(1..4) {
+                    let u = any_node(g, rng);
+                    if u != v {
+                        g.add_edge(v, u).unwrap();
+                        track(g);
+                    }
+                }
+            }
+            // Departure.
+            1 if g.node_count() > 12 => {
+                g.remove_node(any_node(g, rng)).unwrap();
+                track(g);
+            }
+            // Rewire: drop one edge, attach the endpoint elsewhere.
+            2 => {
+                let a = any_node(g, rng);
+                if let Some(&b) = g.neighbors(a).first() {
+                    g.remove_edge(a, b).unwrap();
+                    let c = any_node(g, rng);
+                    if c != a {
+                        g.add_edge(a, c).unwrap();
+                        track(g);
+                    }
+                }
+            }
+            // Weight-only change (zero weights included).
+            3 => {
+                for _ in 0..3 {
+                    let v = any_node(g, rng);
+                    weights[v.0 as usize] = f64::from(rng.gen_range(0u32..8)) * 0.5;
+                }
+            }
+            // Flash crowd: 300 joiners attach to one hub and to one
+            // random earlier node, then the hub and every other joiner
+            // leave. The hub's row relocates through doubling capacities
+            // and the departed spans become garbage, pushing the pool past
+            // the compaction threshold (> 1,024 slots, over half garbage).
+            4 => {
+                let hub = any_node(g, rng);
+                let mut crowd = Vec::new();
+                for _ in 0..300 {
+                    let other = any_node(g, rng);
+                    let v = g.add_node();
+                    weights.push(1.0);
+                    g.add_edge(v, hub).unwrap();
+                    track(g);
+                    if other != hub {
+                        g.add_edge(v, other).unwrap();
+                        track(g);
+                    }
+                    crowd.push(v);
+                }
+                g.remove_node(hub).unwrap();
+                track(g);
+                for v in crowd.into_iter().step_by(2) {
+                    g.remove_node(v).unwrap();
+                    track(g);
+                }
+            }
+            // Idle: nothing changes, so the tables must be reused.
+            _ => {}
+        }
+        compacted
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After every refresh through a random script of joins,
+        /// departures, rewires, weight-only changes and arena compactions,
+        /// the tables equal a cold build on the same graph, reuse happens
+        /// exactly when neither the epoch nor the weights moved, and a walk
+        /// over the tables byte-equals the live `MetropolisWalk` on the
+        /// same RNG stream.
+        #[test]
+        fn refreshed_tables_track_churn_and_compaction(
+            seed in 0u64..1_000_000,
+            ops in prop::collection::vec(0u8..6, 12..24),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut g = topology::barabasi_albert(60, 2, &mut rng).unwrap();
+            let mut weights: Vec<f64> = (0..g.id_upper_bound())
+                .map(|i| f64::from(u32::try_from(i % 5).unwrap()))
+                .collect();
+            let mut cache = SnapshotCache::new();
+            let mut last: Option<(u64, Vec<f64>)> = None;
+            let mut compactions = 0usize;
+            // Every script ends with a flash crowd.
+            for &op in ops.iter().chain([4u8].iter()) {
+                if apply(&mut g, &mut weights, op, &mut rng) {
+                    compactions += 1;
+                }
+                let w = |v: NodeId| weights.get(v.0 as usize).copied().unwrap_or(0.0);
+                let unchanged = last.as_ref().is_some_and(|(epoch, prev)| {
+                    *epoch == g.epoch()
+                        && g.nodes().all(|v| prev.get(v.0 as usize) == Some(&w(v)))
+                });
+                let (snap, kind) = cache.refresh(&g, &w).unwrap();
+                let want = if unchanged { SnapshotRefresh::Reused } else { SnapshotRefresh::Built };
+                prop_assert_eq!(kind, want);
+                let cold = OccasionSnapshot::build(&g, &w).unwrap();
+                prop_assert!(snap == &cold, "op {op}: refreshed tables differ from a cold build");
+                for k in 0..3u64 {
+                    let start = any_node(&g, &mut rng);
+                    let stream = seed ^ (k << 40) ^ g.epoch();
+                    let mut live = MetropolisWalk::new(&g, start).unwrap();
+                    let mut live_rng = ChaCha8Rng::seed_from_u64(stream);
+                    live.run(&g, &w, 200, &mut live_rng).unwrap();
+                    let mut walk = SnapshotWalk::new(start, &g, snap);
+                    let mut walk_rng = ChaCha8Rng::seed_from_u64(stream);
+                    walk.run(&g, snap, 200, &mut walk_rng);
+                    prop_assert_eq!(walk.current, live.current());
+                    prop_assert_eq!(walk.tally.hops, live.messages());
+                    prop_assert_eq!(live_rng.next_u64(), walk_rng.next_u64());
+                }
+                last = Some((g.epoch(), weights.clone()));
+            }
+            prop_assert!(compactions > 0, "script never compacted the arena");
         }
     }
 
@@ -640,8 +789,8 @@ mod tests {
         let a = g.add_node();
         let w = uniform_weight();
         let snap = OccasionSnapshot::build(&g, &w).unwrap();
-        let mut walk = SnapshotWalk::new(a, &snap);
-        walk.run(&snap, 50, &mut rng(3));
+        let mut walk = SnapshotWalk::new(a, &g, &snap);
+        walk.run(&g, &snap, 50, &mut rng(3));
         assert_eq!(walk.current, a);
         assert_eq!(walk.tally.hops, 0);
         assert_eq!(walk.tally.steps, 50);
@@ -665,7 +814,6 @@ mod tests {
             reset_length: 4,
             continue_walks: false,
             workers: 1,
-            cache_snapshots: true,
         };
         let mut arena = WalkArena::new();
         let request = BatchRequest {
@@ -676,14 +824,14 @@ mod tests {
             n: 8,
             occasion_seed: 99,
         };
-        run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
+        run_tuple_batch(&g, &db, &request, &snap, &mut arena).unwrap();
         assert_eq!(arena.outcomes.len(), 8);
         assert_eq!(arena.results.len(), 8);
         assert!(arena.results.iter().all(|cell| cell.get().is_none()));
         let results_cap = arena.results.capacity();
         let tasks_cap = arena.tasks.capacity();
         let outcomes_cap = arena.outcomes.capacity();
-        run_tuple_batch(&db, &request, &snap, &mut arena).unwrap();
+        run_tuple_batch(&g, &db, &request, &snap, &mut arena).unwrap();
         assert_eq!(arena.outcomes.len(), 8);
         assert_eq!(arena.results.capacity(), results_cap);
         assert_eq!(arena.tasks.capacity(), tasks_cap);

@@ -22,12 +22,13 @@
 //!   through a deterministic parallel executor
 //!   ([`SamplingConfig::workers`]): every walk slot owns a counter-derived
 //!   RNG stream, so sampled panels are byte-identical for any worker
-//!   count, including 1. Per-occasion overlay snapshots are cached and
-//!   incrementally patched across occasions
-//!   ([`SamplingConfig::cache_snapshots`]): cost is proportional to
-//!   *change*, not overlay size, and the M–H acceptance ratios are
-//!   precomputed into the snapshot (bit-equivalent to the live Eq. 12
-//!   expression, so RNG streams and panels are unaffected).
+//!   count, including 1. Walks read the overlay's adjacency straight from
+//!   the graph's neighbor arena; beside it each occasion keeps only the
+//!   M–H tables — one integer acceptance threshold per arena slot and one
+//!   proposal rejection threshold per node, bit-equivalent to the live
+//!   Eq. 12 expression so RNG streams and panels are unaffected. The
+//!   tables are reused while the graph epoch and the node weights are
+//!   unchanged and rebuilt otherwise.
 //! * [`mixing`] — exact mixing analysis on small graphs: transition
 //!   matrices, `π_t = π_0 Pᵗ`, TVD curves, measured mixing time `τ(γ)`,
 //!   spectral-gap estimation (Theorem 3's `θ_P = 1 − |λ₂|`).
@@ -61,8 +62,7 @@ pub use mixing::{
     SpectralDiagnostics,
 };
 pub use operator::{
-    default_cache_snapshots, default_workers, SampleCost, SamplingConfig, SamplingOperator,
-    SnapshotStats, SNAPSHOT_CACHE_ENV_VAR, WORKERS_ENV_VAR,
+    default_workers, SampleCost, SamplingConfig, SamplingOperator, SnapshotStats, WORKERS_ENV_VAR,
 };
 pub use size_estimate::SizeEstimator;
 pub use weight::{content_size_weight, degree_weight, uniform_weight, NodeWeight};

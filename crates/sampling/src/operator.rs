@@ -48,24 +48,6 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Environment escape hatch for [`SamplingConfig::cache_snapshots`]'s
-/// default: set `DIGEST_SNAPSHOT_CACHE=0` to force a cold snapshot
-/// rebuild every occasion (the PR 3 behavior). Panels are byte-identical
-/// either way — the cache only skips rebuild work, never RNG draws — so
-/// this exists for A/B benchmarking and the determinism audit.
-pub const SNAPSHOT_CACHE_ENV_VAR: &str = "DIGEST_SNAPSHOT_CACHE";
-
-/// Default for [`SamplingConfig::cache_snapshots`]: on, unless
-/// [`SNAPSHOT_CACHE_ENV_VAR`] is set to `0`. Caching the §VI-A occasion
-/// snapshot is a pure cost optimisation — sample distributions and RNG
-/// streams are unaffected.
-#[must_use]
-pub fn default_cache_snapshots() -> bool {
-    std::env::var(SNAPSHOT_CACHE_ENV_VAR)
-        .map(|raw| raw.trim() != "0")
-        .unwrap_or(true)
-}
-
 /// Tuning of the sampling operator `S` (paper §III, §V).
 #[derive(Debug, Clone, Copy)]
 pub struct SamplingConfig {
@@ -84,12 +66,6 @@ pub struct SamplingConfig {
     /// every value** — each walk slot owns a counter-derived RNG stream —
     /// so this knob trades wall-clock time only, never results.
     pub workers: usize,
-    /// Reuse / incrementally patch the per-occasion overlay snapshot
-    /// across occasions (keyed by graph mutation epoch and weight
-    /// fingerprint; see `crate::snapshot`) instead of rebuilding it per
-    /// batch. Byte-identical panels either way; off reproduces the cold
-    /// PR 3 path for A/B runs.
-    pub cache_snapshots: bool,
 }
 
 impl Default for SamplingConfig {
@@ -99,7 +75,6 @@ impl Default for SamplingConfig {
             reset_length: 16,
             continue_walks: true,
             workers: default_workers(),
-            cache_snapshots: default_cache_snapshots(),
         }
     }
 }
@@ -119,7 +94,6 @@ impl SamplingConfig {
             reset_length: (walk / 4).max(2),
             continue_walks: true,
             workers: default_workers(),
-            cache_snapshots: default_cache_snapshots(),
         }
     }
 
@@ -140,7 +114,6 @@ impl SamplingConfig {
             reset_length: (walk / 8).max(2),
             continue_walks: true,
             workers: default_workers(),
-            cache_snapshots: default_cache_snapshots(),
         })
     }
 }
@@ -180,8 +153,8 @@ pub struct SamplingOperator {
     cursor: usize,
     total_messages: u64,
     samples_drawn: u64,
-    /// Epoch-keyed occasion-snapshot cache (see `crate::snapshot`). The
-    /// cache is bound to the graph instance the operator samples from;
+    /// Epoch-keyed M–H table cache (see `crate::snapshot`). The cache is
+    /// bound to the graph instance the operator samples from;
     /// [`SamplingOperator::reset`] drops it, which is what makes
     /// re-pointing a reset operator at a different graph safe.
     cache: SnapshotCache,
@@ -192,17 +165,15 @@ pub struct SamplingOperator {
 
 /// Per-operator tally of how its occasion snapshots were produced
 /// (paper §VI-A batch occasions; one entry per `sample_tuples` call).
-/// Mirrors the global `sampling.snapshot.{built,reused,patched}`
-/// telemetry counters but is race-free per operator, which is what the
+/// Mirrors the global `sampling.snapshot.{built,reused}` telemetry
+/// counters but is race-free per operator, which is what the
 /// benchmarks and tests read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Full cold builds of the CSR + weight + acceptance tables.
+    /// Rebuilds of the weight capture and M–H tables.
     pub built: u64,
-    /// Zero-write reuses of the cached snapshot.
+    /// Zero-write reuses of the cached tables.
     pub reused: u64,
-    /// Incremental patches (dirty CSR rows only).
-    pub patched: u64,
 }
 
 impl SamplingOperator {
@@ -437,18 +408,18 @@ impl SamplingOperator {
         }
         let occasion_seed = rng.next_u64();
         let w = content_size_weight(db);
-        let (snapshot, refresh) = self.cache.refresh(g, &w, self.config.cache_snapshots)?;
-        match refresh {
-            SnapshotRefresh::Built => self.stats.built += 1,
-            SnapshotRefresh::Reused => self.stats.reused += 1,
-            SnapshotRefresh::Patched => self.stats.patched += 1,
-        }
+        let (snapshot, refresh) = self.cache.refresh(g, &w)?;
+        let refresh_name = match refresh {
+            SnapshotRefresh::Built => {
+                self.stats.built += 1;
+                "built"
+            }
+            SnapshotRefresh::Reused => {
+                self.stats.reused += 1;
+                "reused"
+            }
+        };
         if digest_telemetry::events_enabled() {
-            let refresh_name = match refresh {
-                SnapshotRefresh::Built => "built",
-                SnapshotRefresh::Reused => "reused",
-                SnapshotRefresh::Patched => "patched",
-            };
             digest_telemetry::emit(
                 "sampling.snapshot",
                 &[
@@ -465,7 +436,7 @@ impl SamplingOperator {
             n,
             occasion_seed,
         };
-        executor::run_tuple_batch(db, &request, snapshot, &mut self.arena)?;
+        executor::run_tuple_batch(g, db, &request, snapshot, &mut self.arena)?;
 
         let mut out = Vec::with_capacity(n);
         for (i, outcome) in self.arena.outcomes.drain(..).enumerate() {
@@ -593,7 +564,6 @@ mod tests {
             reset_length: 20,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(1);
@@ -623,7 +593,6 @@ mod tests {
             reset_length: 20,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(2);
@@ -653,7 +622,6 @@ mod tests {
             reset_length: 10,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut fresh = SamplingOperator::new(SamplingConfig {
@@ -661,7 +629,6 @@ mod tests {
             reset_length: 10,
             continue_walks: false,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
 
@@ -692,7 +659,6 @@ mod tests {
             reset_length: 10,
             continue_walks: false,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(4);
@@ -725,7 +691,6 @@ mod tests {
             reset_length: 5,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(6);
@@ -796,7 +761,6 @@ mod tests {
                 reset_length: 8,
                 continue_walks: true,
                 workers,
-                cache_snapshots: true,
             })
             .unwrap();
             let mut r = rng(12);
@@ -836,7 +800,6 @@ mod tests {
             reset_length: 10,
             continue_walks: true,
             workers: 2,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(13);
@@ -864,7 +827,6 @@ mod tests {
             reset_length: 6,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(21);
@@ -875,54 +837,11 @@ mod tests {
         let stats = op.snapshot_stats();
         assert_eq!(stats.built, 1, "one cold build");
         assert_eq!(stats.reused, 4, "all later occasions reuse");
-        assert_eq!(stats.patched, 0);
-    }
-
-    /// With caching disabled every occasion pays a cold build, and the
-    /// panel is byte-identical to the cached run (same caller RNG).
-    #[test]
-    fn cache_off_rebuilds_every_occasion_with_identical_panels() {
-        let g = topology::complete(6).unwrap();
-        let db = skewed_db(6);
-        let draw = |cache_snapshots: bool| {
-            let mut op = SamplingOperator::new(SamplingConfig {
-                walk_length: 30,
-                reset_length: 6,
-                continue_walks: true,
-                workers: 1,
-                cache_snapshots,
-            })
-            .unwrap();
-            let mut r = rng(22);
-            let mut panels = Vec::new();
-            for _ in 0..3 {
-                op.begin_occasion();
-                panels.push(op.sample_tuples(&g, &db, NodeId(0), 5, &mut r).unwrap());
-            }
-            (panels, op.snapshot_stats(), r.next_u64())
-        };
-        let (cached, cached_stats, cached_next) = draw(true);
-        let (cold, cold_stats, cold_next) = draw(false);
-        assert_eq!(cold_stats.built, 3);
-        assert_eq!(cold_stats.reused + cold_stats.patched, 0);
-        assert!(cached_stats.reused > 0);
-        assert_eq!(cached_next, cold_next, "caller RNG advance must match");
-        for (pa, pb) in cached.iter().zip(cold.iter()) {
-            for ((ha, ta, ca), (hb, tb, cb)) in pa.iter().zip(pb.iter()) {
-                assert_eq!(ha, hb);
-                assert_eq!(
-                    ta.value(0).unwrap().to_bits(),
-                    tb.value(0).unwrap().to_bits()
-                );
-                assert_eq!(ca, cb);
-            }
-        }
     }
 
     /// Regression test for the stale-cache-after-reset bug: graph
     /// epochs are per-instance, so a *different* graph can report the
-    /// same epoch and weight fingerprint as the one the cache was built
-    /// against. `reset()` must drop the cache so the next occasion
+    /// same epoch and weights as the one the cache was built against. `reset()` must drop the cache so the next occasion
     /// rebuilds from the new graph.
     #[test]
     fn reset_drops_cached_snapshot_before_graph_swap() {
@@ -930,7 +849,7 @@ mod tests {
         let a = topology::ring(8).unwrap();
         // Graph B: 8 nodes, a path 0-…-7 plus edge 0-4 — also exactly
         // 16 mutations, so `epoch(A) == epoch(B)`, same id range, and
-        // (uniform content below) the same weight fingerprint.
+        // (uniform content below) the same weights.
         let mut b = digest_net::Graph::new();
         let ids: Vec<NodeId> = (0..8).map(|_| b.add_node()).collect();
         for pair in ids.windows(2) {
@@ -952,7 +871,6 @@ mod tests {
             reset_length: 8,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         };
 
         let mut op = SamplingOperator::new(config).unwrap();
@@ -984,10 +902,9 @@ mod tests {
         }
     }
 
-    /// Churn between occasions takes the incremental patch path and
-    /// never a false reuse.
+    /// Churn between occasions rebuilds the tables, never a false reuse.
     #[test]
-    fn churn_between_occasions_patches_snapshot() {
+    fn churn_between_occasions_rebuilds_snapshot() {
         let mut g = topology::complete(8).unwrap();
         let db = skewed_db(9);
         let mut op = SamplingOperator::new(SamplingConfig {
@@ -995,7 +912,6 @@ mod tests {
             reset_length: 6,
             continue_walks: true,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(25);
@@ -1005,8 +921,8 @@ mod tests {
         op.begin_occasion();
         op.sample_tuples(&g, &db, NodeId(0), 6, &mut r).unwrap();
         let stats = op.snapshot_stats();
-        assert_eq!(stats.built, 1);
-        assert_eq!(stats.patched, 1);
+        assert_eq!(stats.built, 2);
+        assert_eq!(stats.reused, 0);
     }
 
     #[test]
@@ -1018,7 +934,6 @@ mod tests {
             reset_length: 10,
             continue_walks: false,
             workers: 1,
-            cache_snapshots: true,
         })
         .unwrap();
         let mut r = rng(8);

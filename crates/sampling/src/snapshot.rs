@@ -1,47 +1,40 @@
-//! Cached per-occasion overlay snapshots with incremental refresh.
+//! Per-occasion Metropolis–Hastings tables over the overlay's own arena.
 //!
-//! PR 3 rebuilt the full CSR snapshot on *every* `sample_tuples` batch,
-//! making occasion latency proportional to overlay size even when the
-//! overlay had not changed. This module makes the cost proportional to
-//! *change* instead (cf. PolyFit's precomputed index structures and the
-//! per-occasion amortization argument of the top-k P2P line of work in
-//! PAPERS.md):
+//! The walk of PAPER.md §V-A needs the overlay's adjacency plus one
+//! acceptance ratio per directed edge (Eq. 12). The adjacency is read
+//! straight from [`Graph`]'s neighbor arena ([`Graph::arena_row`]); this
+//! module keeps only what the walk cannot read from the graph:
 //!
-//! * **Epoch-keyed caching.** [`SnapshotCache`] holds the last-built
-//!   [`OccasionSnapshot`] keyed by `(graph mutation epoch, weight
-//!   fingerprint)`. [`digest_net::Graph::epoch`] advances only on
-//!   structural mutation, so an unchanged overlay is detected in O(1);
-//!   weights (arbitrary caller closures) are re-evaluated into a scratch
-//!   buffer each occasion — O(n), unavoidable without purity guarantees
-//!   — and compared exactly. A full hit reuses the snapshot with zero
-//!   writes.
-//! * **CSR patching.** When the graph changed but the mutation journal
-//!   still covers the gap, [`digest_net::Graph::changes_since`] yields
-//!   the sorted set of dirty node ids; only their CSR rows are re-read
-//!   from the graph while clean rows are block-copied from the previous
-//!   snapshot, all into retained scratch buffers (steady-state: zero
-//!   allocation).
-//! * **M–H proposal caching.** The snapshot precomputes, for every
-//!   directed CSR edge `(i, j)`, the Metropolis–Hastings acceptance
-//!   ratio `(w_j·d_i) / (max(w_i, ε)·d_j)` of PAPER.md §V-A Eq. 12 using
-//!   *bit-for-bit the same `f64` expression* as the live walk — and then
-//!   folds it all the way down to the integer Bernoulli threshold
-//!   `rand`'s `gen_bool(ratio)` would compare against. IEEE-754
-//!   arithmetic is deterministic, so the table entry decides *and
-//!   consumes the RNG stream* exactly like recomputing the ratio and
-//!   calling `gen_bool` per step: ratio ≥ 1 maps to [`ACCEPT_ALWAYS`]
-//!   (accept, no draw), anything else to `⌈ratio·2⁵³⌉` compared against
-//!   the 53 mantissa bits of one raw `next_u64` draw. The per-node
-//!   Lemire rejection threshold of the proposal draw (a 64-bit modulo
-//!   in the vendored `gen_range`) is precomputed the same way. The
-//!   inner walk step becomes a few array reads and integer compares —
-//!   no float ops, no modulo, no weight-closure calls.
+//! * **the per-edge acceptance table**, indexed by the edge's slot in
+//!   the graph's arena. Each entry is the ratio
+//!   `(w_j·d_i) / (max(w_i, ε)·d_j)`, computed with *bit-for-bit the
+//!   same `f64` expression* as the live walk and folded down to the
+//!   integer Bernoulli threshold `rand`'s `gen_bool(ratio)` would compare
+//!   against. IEEE-754 arithmetic is deterministic, so the table entry
+//!   decides *and consumes the RNG stream* exactly like recomputing the
+//!   ratio and calling `gen_bool` per step: ratio ≥ 1 maps to
+//!   [`ACCEPT_ALWAYS`] (accept, no draw), anything else to `⌈ratio·2⁵³⌉`
+//!   compared against the 53 mantissa bits of one raw `next_u64` draw;
+//! * **the per-node Lemire rejection table** of the uniform proposal
+//!   draw (a 64-bit modulo in the vendored `gen_range`), precomputed the
+//!   same way;
+//! * **the captured weights**, which decide whether the tables can be
+//!   reused.
 //!
-//! Every refresh outcome is counted (`sampling.snapshot.built/reused/
-//! patched`) and timed under [`Stage::SnapshotBuild`]. The cache is
-//! bound to one [`Graph`] *instance*: epochs from different graphs are
-//! incomparable, so `SamplingOperator::reset` must (and does) drop the
-//! cache before an operator may be pointed at another graph.
+//! The inner walk step becomes a few array reads and integer compares —
+//! no float ops, no modulo, no weight-closure calls.
+//!
+//! [`SnapshotCache::refresh`] has two outcomes. It *reuses* the tables
+//! when the graph's mutation epoch is unchanged and the freshly captured
+//! weights compare equal element by element; otherwise it *rebuilds*
+//! them, O(n + m). Arena slots move only inside epoch-bumping mutations
+//! (row relocation on growth, compaction), so slot-indexed tables are
+//! valid exactly while the epoch holds. Each outcome is counted
+//! (`sampling.snapshot.built/reused`) and timed under
+//! [`Stage::SnapshotBuild`]. The cache is bound to one [`Graph`]
+//! *instance*: epochs from different graphs are incomparable, so
+//! `SamplingOperator::reset` must (and does) drop the cache before an
+//! operator may be pointed at another graph.
 
 use crate::error::SamplingError;
 use crate::metropolis::ZERO_WEIGHT_FLOOR;
@@ -50,21 +43,16 @@ use crate::Result;
 use digest_net::{Graph, NodeId};
 use digest_telemetry::{registry as telemetry, Stage};
 
-/// Immutable per-occasion view of the overlay: CSR adjacency, liveness,
-/// pre-validated node weights, and the precomputed M–H acceptance ratio
-/// per directed edge, all indexed by raw node id. Built (or patched)
-/// once per occasion on the dispatching thread; shared read-only by
-/// every walk slot.
-#[derive(Debug, Clone, Default)]
+/// The M–H tables of one occasion, valid for the [`Graph`] epoch they
+/// were built at. Built once per occasion on the dispatching thread;
+/// shared read-only by every walk slot, which reads the adjacency itself
+/// from the graph.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct OccasionSnapshot {
-    /// CSR row offsets, `id_upper_bound + 1` entries.
-    offsets: Vec<usize>,
-    /// Concatenated neighbor lists.
-    adjacency: Vec<NodeId>,
-    /// Integer acceptance threshold for the directed edge stored at the
-    /// same index in `adjacency`: [`accept_threshold`] of the ratio
+    /// Integer acceptance threshold per arena slot: the slot of directed
+    /// edge `(i, j)` holds [`accept_threshold`] of the ratio
     /// `(w_j·d_i) / (max(w_i, ε)·d_j)` that `MetropolisWalk::step`
-    /// evaluates live (Eq. 12).
+    /// evaluates live (Eq. 12). Slots outside live rows hold 0.
     accept: Vec<u64>,
     /// Per-node Lemire rejection threshold for the uniform proposal
     /// draw, [`lemire_reject_threshold`] of the node's degree
@@ -72,12 +60,10 @@ pub(crate) struct OccasionSnapshot {
     reject: Vec<u64>,
     /// Weight per id slot (0.0 for dead ids); every entry finite, ≥ 0.
     weights: Vec<f64>,
-    /// Liveness per id slot.
-    live: Vec<bool>,
 }
 
 impl OccasionSnapshot {
-    /// Builds a cold snapshot (no cache); test-only reference path —
+    /// Builds the tables cold (no cache); test-only reference path —
     /// the operator goes through [`SnapshotCache`].
     ///
     /// # Errors
@@ -88,44 +74,19 @@ impl OccasionSnapshot {
     #[cfg(test)]
     pub(crate) fn build<W: NodeWeight>(g: &Graph, w: &W) -> Result<Self> {
         let mut cache = SnapshotCache::new();
-        cache.refresh(g, w, false)?;
+        cache.refresh(g, w)?;
         Ok(cache.snapshot)
     }
 
-    /// Whether `v` was live at capture time.
-    /// xtask: no-alloc
-    pub(crate) fn contains(&self, v: NodeId) -> bool {
-        self.live.get(v.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// CSR row of `v` as `(start, degree)`; `(0, 0)` for unknown ids.
-    /// xtask: no-alloc
-    #[inline]
-    pub(crate) fn row(&self, v: NodeId) -> (usize, usize) {
-        let i = v.0 as usize;
-        match (self.offsets.get(i), self.offsets.get(i + 1)) {
-            (Some(&start), Some(&end)) => (start, end.saturating_sub(start)),
-            _ => (0, 0),
-        }
-    }
-
-    /// The neighbor stored at CSR index `idx` (caller guarantees `idx`
-    /// lies inside a row obtained from [`Self::row`]).
-    /// xtask: no-alloc
-    #[inline]
-    pub(crate) fn neighbor_at(&self, idx: usize) -> NodeId {
-        self.adjacency.get(idx).copied().unwrap_or(NodeId(0))
-    }
-
-    /// The precomputed integer acceptance threshold at CSR index `idx`:
-    /// [`ACCEPT_ALWAYS`] iff the live ratio is ≥ 1 (accept without
-    /// consuming randomness), otherwise [`accept_threshold`]'s
+    /// The precomputed integer acceptance threshold at arena slot
+    /// `slot`: [`ACCEPT_ALWAYS`] iff the live ratio is ≥ 1 (accept
+    /// without consuming randomness), otherwise [`accept_threshold`]'s
     /// `⌈ratio·2⁵³⌉` so that `(next_u64() >> 11) < threshold`
     /// reproduces `gen_bool(ratio)` bit-for-bit.
     /// xtask: no-alloc
     #[inline]
-    pub(crate) fn accept_threshold_at(&self, idx: usize) -> u64 {
-        self.accept.get(idx).copied().unwrap_or(0)
+    pub(crate) fn accept_threshold_at(&self, slot: usize) -> u64 {
+        self.accept.get(slot).copied().unwrap_or(0)
     }
 
     /// The precomputed per-node Lemire rejection threshold for `v`'s
@@ -136,65 +97,34 @@ impl OccasionSnapshot {
         self.reject.get(v.0 as usize).copied().unwrap_or(0)
     }
 
-    #[cfg(test)]
-    pub(crate) fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let (start, len) = self.row(v);
-        self.adjacency.get(start..start + len).unwrap_or(&[])
-    }
-
-    #[cfg(test)]
-    pub(crate) fn degree(&self, v: NodeId) -> usize {
-        self.row(v).1
-    }
-
-    #[cfg(test)]
-    pub(crate) fn weight(&self, v: NodeId) -> f64 {
-        self.weights.get(v.0 as usize).copied().unwrap_or(0.0)
-    }
-
-    /// Recomputes the proposal tables (per-edge acceptance thresholds,
-    /// per-node rejection thresholds) from the current CSR + weights.
-    /// O(n + m); runs on every build *and* patch, because a single
-    /// changed weight or degree perturbs the ratios of every incident
-    /// edge (and, through `d_j`, of every edge *pointing at* a dirty
-    /// node).
-    fn recompute_tables(&mut self) {
+    /// Recomputes both tables from `g`'s arena and the captured weights.
+    /// O(n + arena); the buffers keep their capacity, so a rebuild at a
+    /// steady overlay size allocates nothing.
+    fn rebuild_tables(&mut self, g: &Graph) {
         self.accept.clear();
-        self.accept.reserve(self.adjacency.len());
-        let upper = self.live.len();
         self.reject.clear();
-        self.reject.reserve(upper);
-        for i in 0..upper {
-            let (start, len) = (
-                self.offsets.get(i).copied().unwrap_or(0),
-                self.offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(self.offsets.get(i).copied().unwrap_or(0)),
-            );
-            self.reject.push(lemire_reject_threshold(
-                u64::try_from(len).unwrap_or(u64::MAX),
-            ));
-            let d_i = len as f64;
+        self.reject.resize(g.id_upper_bound(), 0);
+        for v in g.nodes() {
+            let (start, row) = g.arena_row(v);
+            if let Some(reject) = self.reject.get_mut(v.0 as usize) {
+                *reject = lemire_reject_threshold(u64::try_from(row.len()).unwrap_or(u64::MAX));
+            }
+            let end = start + row.len();
+            if self.accept.len() < end {
+                self.accept.resize(end, 0);
+            }
+            let d_i = row.len() as f64;
             let w_i = self
                 .weights
-                .get(i)
+                .get(v.0 as usize)
                 .copied()
                 .unwrap_or(0.0)
                 .max(ZERO_WEIGHT_FLOOR);
-            for k in start..start + len {
-                let j = self.adjacency.get(k).map_or(0, |n| n.0 as usize);
-                let w_j = self.weights.get(j).copied().unwrap_or(0.0);
-                let d_j = (self
-                    .offsets
-                    .get(j + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(self.offsets.get(j).copied().unwrap_or(0)))
-                    as f64;
-                self.accept
-                    .push(accept_threshold((w_j * d_i) / (w_i * d_j)));
+            let slots = self.accept.get_mut(start..end).unwrap_or_default();
+            for (slot, &j) in slots.iter_mut().zip(row) {
+                let w_j = self.weights.get(j.0 as usize).copied().unwrap_or(0.0);
+                let d_j = g.degree(j) as f64;
+                *slot = accept_threshold((w_j * d_i) / (w_i * d_j));
             }
         }
     }
@@ -242,53 +172,25 @@ fn lemire_reject_threshold(span: u64) -> u64 {
 /// How a [`SnapshotCache::refresh`] satisfied the occasion's request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SnapshotRefresh {
-    /// Cold path: the full CSR + weight + acceptance tables were
-    /// (re)materialized from the graph.
+    /// The weight capture and both tables were rebuilt from the graph.
     Built,
-    /// Cache hit: same graph epoch, byte-identical weights — the cached
-    /// snapshot was returned with zero writes.
+    /// Same graph epoch, equal weights: the cached tables were returned
+    /// with zero writes.
     Reused,
-    /// Incremental path: the mutation journal covered the delta, so only
-    /// dirty CSR rows were re-read (clean rows block-copied) and the
-    /// acceptance table recomputed.
-    Patched,
 }
 
-/// FNV-1a over the bit patterns of a weight vector (position-sensitive
-/// via the running hash). Informational cache-key component; reuse is
-/// confirmed by exact comparison, so a collision can never corrupt a
-/// panel.
-fn weight_fingerprint(weights: &[f64]) -> u64 {
-    // Word-at-a-time FNV-1a variant: one xor-multiply round per weight
-    // keeps the per-occasion fingerprint cost negligible next to the
-    // walk itself (the byte-wise original cost ~8× more and bought
-    // nothing — reuse is confirmed by exact comparison either way).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in weights {
-        h ^= w.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Epoch-keyed cache of the last [`OccasionSnapshot`], owned by a
-/// `SamplingOperator`. All scratch buffers are retained across
+/// The last [`OccasionSnapshot`] plus the epoch it is valid at, owned by
+/// a `SamplingOperator`. The weight scratch buffer is retained across
 /// occasions, so the steady state (unchanged overlay) allocates nothing
 /// and writes nothing beyond the weight re-evaluation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SnapshotCache {
     snapshot: OccasionSnapshot,
-    /// Whether `snapshot` reflects some prior refresh of *this* cache.
-    valid: bool,
-    /// Graph mutation epoch the snapshot was captured at.
-    epoch: u64,
-    /// FNV-1a fingerprint of the captured weight vector.
-    weight_fp: u64,
+    /// Graph mutation epoch the tables were built at; `None` until the
+    /// first refresh of *this* cache and after [`Self::invalidate`].
+    epoch: Option<u64>,
     /// Per-occasion weight re-evaluation target.
     weights_scratch: Vec<f64>,
-    /// Double buffers for in-place CSR patching.
-    offsets_scratch: Vec<usize>,
-    adjacency_scratch: Vec<NodeId>,
 }
 
 impl SnapshotCache {
@@ -296,7 +198,7 @@ impl SnapshotCache {
         Self::default()
     }
 
-    /// Drops the cached snapshot and releases every retained buffer.
+    /// Drops the cached tables and releases every retained buffer.
     /// Required whenever the operator may be re-pointed at a *different*
     /// graph: epochs are per-`Graph`-instance and two graphs can share
     /// an epoch value while disagreeing on topology.
@@ -304,16 +206,9 @@ impl SnapshotCache {
         *self = Self::new();
     }
 
-    /// The current cache key, `(graph epoch, weight fingerprint)`, or
-    /// `None` while invalid. Exposed for tests and diagnostics.
-    #[cfg(test)]
-    pub(crate) fn key(&self) -> Option<(u64, u64)> {
-        self.valid.then_some((self.epoch, self.weight_fp))
-    }
-
-    /// Produces the occasion snapshot for the graph's current state,
-    /// reusing / patching the cached one when `caching` is on and the
-    /// key matches / the journal covers the delta.
+    /// Produces the occasion tables for the graph's current state,
+    /// reusing the cached ones when the epoch is unchanged and the
+    /// captured weights compare equal, rebuilding them otherwise.
     ///
     /// # Errors
     ///
@@ -324,149 +219,23 @@ impl SnapshotCache {
         &mut self,
         g: &Graph,
         w: &W,
-        caching: bool,
     ) -> Result<(&OccasionSnapshot, SnapshotRefresh)> {
         let _span = digest_telemetry::span(Stage::SnapshotBuild);
-        let epoch = g.epoch();
         if let Err(err) = capture_weights(g, w, &mut self.weights_scratch) {
             self.invalidate();
             return Err(err);
         }
-        let fp = weight_fingerprint(&self.weights_scratch);
-        if caching && self.valid {
-            if epoch == self.epoch
-                && fp == self.weight_fp
-                && self.weights_scratch == self.snapshot.weights
-            {
-                telemetry::SAMPLING_SNAPSHOT_REUSED.inc();
-                return Ok((&self.snapshot, SnapshotRefresh::Reused));
-            }
-            if let Some(dirty) = g.changes_since(self.epoch) {
-                self.patch_topology(g, &dirty);
-                std::mem::swap(&mut self.snapshot.weights, &mut self.weights_scratch);
-                self.snapshot.recompute_tables();
-                self.epoch = epoch;
-                self.weight_fp = fp;
-                telemetry::SAMPLING_SNAPSHOT_PATCHED.inc();
-                return Ok((&self.snapshot, SnapshotRefresh::Patched));
-            }
+        let epoch = g.epoch();
+        if self.epoch == Some(epoch) && self.weights_scratch == self.snapshot.weights {
+            telemetry::SAMPLING_SNAPSHOT_REUSED.inc();
+            return Ok((&self.snapshot, SnapshotRefresh::Reused));
         }
-        self.rebuild_topology(g);
         std::mem::swap(&mut self.snapshot.weights, &mut self.weights_scratch);
-        self.snapshot.recompute_tables();
-        self.epoch = epoch;
-        self.weight_fp = fp;
-        self.valid = true;
+        self.snapshot.rebuild_tables(g);
+        self.epoch = Some(epoch);
         telemetry::SAMPLING_SNAPSHOT_BUILT.inc();
         Ok((&self.snapshot, SnapshotRefresh::Built))
     }
-
-    /// Full CSR + liveness rebuild from the graph, reusing the
-    /// snapshot's existing allocations.
-    fn rebuild_topology(&mut self, g: &Graph) {
-        let upper = g.id_upper_bound();
-        let snap = &mut self.snapshot;
-        snap.offsets.clear();
-        snap.offsets.resize(upper + 1, 0);
-        snap.live.clear();
-        snap.live.resize(upper, false);
-        for v in g.nodes() {
-            let i = v.0 as usize;
-            if let (Some(live), Some(deg)) = (snap.live.get_mut(i), snap.offsets.get_mut(i + 1)) {
-                *live = true;
-                *deg = g.neighbors(v).len();
-            }
-        }
-        for i in 0..upper {
-            let prev = snap.offsets.get(i).copied().unwrap_or(0);
-            if let Some(next) = snap.offsets.get_mut(i + 1) {
-                *next += prev;
-            }
-        }
-        let total = snap.offsets.get(upper).copied().unwrap_or(0);
-        snap.adjacency.clear();
-        snap.adjacency.resize(total, NodeId(0));
-        for v in g.nodes() {
-            // `nodes()` iterates the dense live list, which is *not*
-            // id-ordered after churn — write each row at its offset.
-            let i = v.0 as usize;
-            let row = g.neighbors(v);
-            let start = snap.offsets.get(i).copied().unwrap_or(0);
-            if let Some(dst) = snap.adjacency.get_mut(start..start + row.len()) {
-                dst.copy_from_slice(row);
-            }
-        }
-    }
-
-    /// Incremental CSR refresh: rows of `dirty` ids (sorted, deduped,
-    /// complete — the contract of [`Graph::changes_since`]) are re-read
-    /// from the graph; every clean row is block-copied from the previous
-    /// snapshot. Clean rows cannot reference removed nodes because
-    /// `remove_node` marks all former neighbors dirty.
-    fn patch_topology(&mut self, g: &Graph, dirty: &[NodeId]) {
-        let upper = g.id_upper_bound();
-        let snap = &mut self.snapshot;
-        let old_upper = snap.live.len();
-        let is_dirty = |i: usize| dirty.binary_search(&node_id(i)).is_ok();
-
-        snap.live.resize(upper, false);
-        snap.live.truncate(upper);
-        for &d in dirty {
-            let i = d.0 as usize;
-            if let Some(live) = snap.live.get_mut(i) {
-                *live = g.contains(d);
-            }
-        }
-
-        self.offsets_scratch.clear();
-        self.offsets_scratch.reserve(upper + 1);
-        self.offsets_scratch.push(0);
-        let mut running = 0usize;
-        for i in 0..upper {
-            let deg = if is_dirty(i) {
-                if snap.live.get(i).copied().unwrap_or(false) {
-                    g.degree(node_id(i))
-                } else {
-                    0
-                }
-            } else if i < old_upper {
-                snap.offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(snap.offsets.get(i).copied().unwrap_or(0))
-            } else {
-                0
-            };
-            running += deg;
-            self.offsets_scratch.push(running);
-        }
-
-        self.adjacency_scratch.clear();
-        self.adjacency_scratch.reserve(running);
-        for i in 0..upper {
-            if is_dirty(i) {
-                if snap.live.get(i).copied().unwrap_or(false) {
-                    self.adjacency_scratch
-                        .extend_from_slice(g.neighbors(node_id(i)));
-                }
-            } else if i < old_upper {
-                let start = snap.offsets.get(i).copied().unwrap_or(0);
-                let end = snap.offsets.get(i + 1).copied().unwrap_or(0);
-                self.adjacency_scratch
-                    .extend_from_slice(snap.adjacency.get(start..end).unwrap_or(&[]));
-            }
-        }
-
-        std::mem::swap(&mut snap.offsets, &mut self.offsets_scratch);
-        std::mem::swap(&mut snap.adjacency, &mut self.adjacency_scratch);
-    }
-}
-
-/// `NodeId` from a CSR slot index (ids above `u32::MAX` cannot exist:
-/// `Graph::add_node` saturates there).
-fn node_id(i: usize) -> NodeId {
-    NodeId(u32::try_from(i).unwrap_or(u32::MAX))
 }
 
 /// Evaluates `w` over every live node into `scratch` (0.0 for dead id
@@ -504,30 +273,22 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
-    fn assert_snapshots_equal(a: &OccasionSnapshot, b: &OccasionSnapshot) {
-        assert_eq!(a.offsets, b.offsets);
-        assert_eq!(a.adjacency, b.adjacency);
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(a.live, b.live);
-        assert_eq!(a.accept, b.accept);
-        assert_eq!(a.reject, b.reject);
-    }
-
     #[test]
-    fn snapshot_matches_graph_views() {
+    fn tables_cover_live_rows_and_zero_dead_ids() {
         let mut g = topology::barabasi_albert(40, 2, &mut rng(7)).unwrap();
         g.remove_node(NodeId(11)).unwrap();
         let w = |v: NodeId| f64::from(v.0) + 0.5;
         let snap = OccasionSnapshot::build(&g, &w).unwrap();
+        assert_eq!(snap.reject.len(), g.id_upper_bound());
+        assert_eq!(snap.weights.len(), g.id_upper_bound());
         for v in g.nodes() {
-            assert!(snap.contains(v));
-            assert_eq!(snap.neighbors(v), g.neighbors(v));
-            assert_eq!(snap.degree(v), g.degree(v));
-            assert_eq!(snap.weight(v), f64::from(v.0) + 0.5);
+            assert_eq!(snap.weights[v.0 as usize], f64::from(v.0) + 0.5);
+            let (start, row) = g.arena_row(v);
+            assert!(start + row.len() <= snap.accept.len());
         }
-        assert!(!snap.contains(NodeId(11)));
-        assert!(snap.neighbors(NodeId(11)).is_empty());
-        assert!(!snap.contains(NodeId(999)));
+        assert_eq!(snap.weights[11], 0.0);
+        assert_eq!(snap.reject_threshold_of(NodeId(11)), 0);
+        assert_eq!(snap.reject_threshold_of(NodeId(999)), 0);
     }
 
     #[test]
@@ -555,11 +316,10 @@ mod tests {
         let snap = OccasionSnapshot::build(&g, &w).unwrap();
         let mut below_one = 0usize;
         for v in g.nodes() {
-            let (start, len) = snap.row(v);
+            let (start, row) = g.arena_row(v);
             let d_i = g.degree(v) as f64;
             let w_i = w(v).max(ZERO_WEIGHT_FLOOR);
-            for k in 0..len {
-                let j = snap.neighbor_at(start + k);
+            for (k, &j) in row.iter().enumerate() {
                 let live = (w(j) * d_i) / (w_i * (g.degree(j) as f64));
                 assert_eq!(snap.accept_threshold_at(start + k), accept_threshold(live));
                 if live < 1.0 {
@@ -649,33 +409,21 @@ mod tests {
         let g = topology::barabasi_albert(60, 2, &mut rng(3)).unwrap();
         let w = |_: NodeId| 1.0;
         let mut cache = SnapshotCache::new();
-        let (_, first) = cache.refresh(&g, &w, true).unwrap();
+        let (_, first) = cache.refresh(&g, &w).unwrap();
         assert_eq!(first, SnapshotRefresh::Built);
-        let key = cache.key().unwrap();
-        let (_, second) = cache.refresh(&g, &w, true).unwrap();
+        let (_, second) = cache.refresh(&g, &w).unwrap();
         assert_eq!(second, SnapshotRefresh::Reused);
-        assert_eq!(cache.key().unwrap(), key);
+        assert_eq!(cache.epoch, Some(g.epoch()));
     }
 
-    #[test]
-    fn cache_disabled_always_rebuilds() {
-        let g = topology::ring(12).unwrap();
-        let w = |_: NodeId| 1.0;
-        let mut cache = SnapshotCache::new();
-        for _ in 0..3 {
-            let (_, kind) = cache.refresh(&g, &w, false).unwrap();
-            assert_eq!(kind, SnapshotRefresh::Built);
-        }
-    }
-
-    /// Patched refreshes after arbitrary churn must agree exactly with a
+    /// Any structural change rebuilds, and the rebuilt tables equal a
     /// cold build of the mutated graph.
     #[test]
-    fn patched_snapshot_equals_cold_build_after_churn() {
+    fn churn_rebuilds_tables_equal_to_a_cold_build() {
         let mut g = topology::barabasi_albert(50, 3, &mut rng(9)).unwrap();
         let w = |v: NodeId| f64::from(v.0 % 4) + 1.0;
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
+        cache.refresh(&g, &w).unwrap();
 
         // Add a node with edges, remove a node, rewire an edge.
         let fresh = g.add_node();
@@ -687,148 +435,34 @@ mod tests {
         g.remove_edge(a, b).unwrap();
         g.add_edge(a, NodeId(21)).unwrap();
 
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Patched);
-        let cold = OccasionSnapshot::build(&g, &w).unwrap();
-        assert_snapshots_equal(&cache.snapshot, &cold);
+        let (snap, kind) = cache.refresh(&g, &w).unwrap();
+        assert_eq!(kind, SnapshotRefresh::Built);
+        assert_eq!(snap, &OccasionSnapshot::build(&g, &w).unwrap());
     }
 
-    /// A weight change alone (same epoch) must also invalidate reuse and
-    /// produce the cold-build snapshot.
+    /// A weight change alone (same epoch) must also rebuild.
     #[test]
-    fn weight_change_alone_triggers_patch() {
+    fn weight_change_alone_rebuilds() {
         let g = topology::ring(20).unwrap();
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+        cache.refresh(&g, &|_: NodeId| 1.0).unwrap();
         let w2 = |v: NodeId| f64::from(v.0) + 2.0;
-        let (_, kind) = cache.refresh(&g, &w2, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Patched);
-        let cold = OccasionSnapshot::build(&g, &w2).unwrap();
-        assert_snapshots_equal(&cache.snapshot, &cold);
-    }
-
-    /// Once the journal overflows, `changes_since` loses coverage and
-    /// the cache must fall back to a full rebuild — still correct.
-    #[test]
-    fn journal_overflow_falls_back_to_full_rebuild() {
-        let mut g = topology::ring(16).unwrap();
-        let w = |_: NodeId| 1.0;
-        let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
-        // Far more mutations than the journal retains.
-        for _ in 0..4096 {
-            let v = g.add_node();
-            g.add_edge(v, NodeId(0)).unwrap();
-            g.remove_node(v).unwrap();
-        }
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
+        let (snap, kind) = cache.refresh(&g, &w2).unwrap();
         assert_eq!(kind, SnapshotRefresh::Built);
-        let cold = OccasionSnapshot::build(&g, &w).unwrap();
-        assert_snapshots_equal(&cache.snapshot, &cold);
-    }
-
-    /// Pins the journal-bound decision from the cache's point of view:
-    /// a small inter-occasion delta patches, while a delta past the
-    /// journal bound must produce `Built` — and the rebuilt snapshot
-    /// matches a cold build (never a silently-reused stale CSR).
-    #[test]
-    fn journal_bound_decides_patch_vs_build() {
-        let mut g = topology::ring(16).unwrap();
-        let w = |_: NodeId| 1.0;
-        let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
-
-        // Under the bound: a handful of mutations → Patched.
-        let v = g.add_node();
-        g.add_edge(v, NodeId(0)).unwrap();
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Patched);
-
-        // Past the bound (JOURNAL_CAP entries): same edge toggled far
-        // more times than the journal retains → Built.
-        for _ in 0..1200 {
-            g.add_edge(v, NodeId(1)).unwrap();
-            g.remove_edge(v, NodeId(1)).unwrap();
-        }
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Built);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
-    }
-
-    /// Re-pointing an un-invalidated cache at a *different* graph whose
-    /// epoch is lower than the cached mark must force `Built`. Before
-    /// `Graph::changes_since` rejected future marks this path silently
-    /// "patched" with an empty dirty set and served the previous
-    /// graph's adjacency.
-    #[test]
-    fn repointed_graph_with_lower_epoch_forces_build() {
-        // Drive the first graph's epoch high.
-        let mut old = topology::ring(24).unwrap();
-        for _ in 0..50 {
-            let a = NodeId(0);
-            let b = NodeId(5);
-            old.remove_edge(a, b).ok();
-            old.add_edge(a, b).ok();
-        }
-        let w = |_: NodeId| 1.0;
-        let mut cache = SnapshotCache::new();
-        cache.refresh(&old, &w, true).unwrap();
-
-        // A fresh graph starts from epoch ~n: far below the cached mark.
-        let fresh = topology::ring(8).unwrap();
-        assert!(fresh.epoch() < old.epoch());
-        let (_, kind) = cache.refresh(&fresh, &w, true).unwrap();
-        assert_eq!(
-            kind,
-            SnapshotRefresh::Built,
-            "stale cache must rebuild for a graph it has never seen"
-        );
-        assert_snapshots_equal(
-            &cache.snapshot,
-            &OccasionSnapshot::build(&fresh, &w).unwrap(),
-        );
+        assert_eq!(snap, &OccasionSnapshot::build(&g, &w2).unwrap());
     }
 
     #[test]
     fn invalid_weight_invalidates_cache() {
         let g = topology::ring(8).unwrap();
         let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
-        assert!(cache.key().is_some());
+        cache.refresh(&g, &|_: NodeId| 1.0).unwrap();
+        assert!(cache.epoch.is_some());
         let bad = |v: NodeId| if v.0 == 1 { -3.0 } else { 1.0 };
-        assert!(cache.refresh(&g, &bad, true).is_err());
-        assert!(cache.key().is_none());
+        assert!(cache.refresh(&g, &bad).is_err());
+        assert!(cache.epoch.is_none());
         // Next valid refresh is a cold build, not a stale reuse.
-        let (_, kind) = cache.refresh(&g, &|_: NodeId| 1.0, true).unwrap();
+        let (_, kind) = cache.refresh(&g, &|_: NodeId| 1.0).unwrap();
         assert_eq!(kind, SnapshotRefresh::Built);
-    }
-
-    #[test]
-    fn fingerprint_is_position_sensitive() {
-        let a = weight_fingerprint(&[1.0, 2.0, 3.0]);
-        let b = weight_fingerprint(&[3.0, 2.0, 1.0]);
-        assert_ne!(a, b);
-        assert_ne!(weight_fingerprint(&[]), weight_fingerprint(&[0.0]));
-    }
-
-    /// Growing then shrinking `id_upper_bound` across patches must stay
-    /// consistent with cold builds (regression guard for resize logic).
-    #[test]
-    fn patch_handles_upper_bound_growth_and_shrink() {
-        let mut g = topology::ring(10).unwrap();
-        let w = |_: NodeId| 1.0;
-        let mut cache = SnapshotCache::new();
-        cache.refresh(&g, &w, true).unwrap();
-
-        let v = g.add_node();
-        g.add_edge(v, NodeId(4)).unwrap();
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Patched);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
-
-        g.remove_node(v).unwrap();
-        let (_, kind) = cache.refresh(&g, &w, true).unwrap();
-        assert_eq!(kind, SnapshotRefresh::Patched);
-        assert_snapshots_equal(&cache.snapshot, &OccasionSnapshot::build(&g, &w).unwrap());
     }
 }

@@ -32,18 +32,10 @@ use crate::events::EventQueue;
 use crate::sync::{AtomicU64, OnceLock, Ordering};
 use digest_core::{CoreError, Result};
 use digest_net::{topology, ChurnConfig, ChurnProcess, NodeStore};
+use digest_stats::splitmix64;
 use digest_telemetry::registry as telemetry;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// SplitMix64 finalizer — derives well-separated per-shard seeds from
-/// the single occasion seed (same mix as the sampling executor).
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The seed of shard `shard`'s private RNG stream for one occasion.
 fn shard_stream_seed(occasion_seed: u64, shard: usize) -> u64 {

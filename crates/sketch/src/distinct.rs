@@ -3,7 +3,7 @@
 //! base estimator).
 //!
 //! Digest's variant is stripped for replay determinism (DESIGN.md §17):
-//! the key path uses the fixed SplitMix64 mixer ([`crate::splitmix64`])
+//! the key path uses the fixed SplitMix64 mixer ([`digest_stats::splitmix64`])
 //! instead of a keyed hash, there is no sparse representation and no
 //! hash-collection iteration anywhere, and the register file is a flat
 //! `Vec<u8>` whose dump order is the register index — so serialization,
@@ -102,7 +102,7 @@ impl HllSketch {
     /// §IV sampling and the sweep estimator of DESIGN.md §17 feed cell
     /// keys through [`crate::value_cell`] and this mixer).
     pub fn accumulate_key(&mut self, key: u64) {
-        let hashed = crate::splitmix64(key);
+        let hashed = digest_stats::splitmix64(key);
         let shift = 64 - u32::from(self.p_bits);
         let idx = usize::try_from(hashed >> shift).unwrap_or(0);
         let tail = hashed << u32::from(self.p_bits);

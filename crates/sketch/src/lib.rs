@@ -64,18 +64,6 @@ pub(crate) fn f64_to_i64_saturating(x: f64) -> i64 {
     out
 }
 
-/// SplitMix64 finalizer: the fixed 64-bit mixer shared by the HLL++ and
-/// space-saving key paths (Steele et al.; used here in place of a keyed
-/// hash so register dumps replay byte-identically, per R5 — see
-/// DESIGN.md §17). Bijective on `u64`, so it cannot create collisions.
-#[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Quantizes a continuous attribute value onto a unit-width integer cell
 /// (saturating floor), the shared key domain for `COUNT DISTINCT` and
 /// top-k (DESIGN.md §17). Oracles apply the same map, so the audited
@@ -89,13 +77,6 @@ pub fn value_cell(value: f64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix64_matches_reference_vectors() {
-        // Reference outputs for seed 1234567 advancing the SplitMix64
-        // stream (Steele et al. appendix vectors).
-        assert_eq!(splitmix64(1_234_567), 6_457_827_717_110_365_317);
-    }
 
     #[test]
     fn value_cell_floors_and_saturates() {

@@ -42,14 +42,15 @@ pub static SAMPLING_BURN_IN: Histogram = Histogram::new();
 pub static SAMPLING_WALK_BATCHES: Counter = Counter::new();
 /// Walk slots per executed batch (the occasion panel size).
 pub static SAMPLING_BATCH_SLOTS: Histogram = Histogram::new();
-/// Occasion snapshots built from scratch (full CSR + weight + proposal
-/// table materialisation).
+/// Occasion snapshots rebuilt (weight capture plus the M–H acceptance
+/// and proposal tables over the graph's arena).
 pub static SAMPLING_SNAPSHOT_BUILT: Counter = Counter::new();
 /// Occasion snapshots served verbatim from the operator's cache (graph
-/// epoch and weight fingerprint both unchanged).
+/// epoch unchanged and weights equal).
 pub static SAMPLING_SNAPSHOT_REUSED: Counter = Counter::new();
-/// Occasion snapshots incrementally patched in place (small churn delta
-/// or weight-only change; allocations and clean CSR rows reused).
+/// Retired: the snapshot has no patch path any more, so this always
+/// reads 0. Kept registered because external benchmark harnesses still
+/// read it.
 pub static SAMPLING_SNAPSHOT_PATCHED: Counter = Counter::new();
 
 // --- digest-core -------------------------------------------------------

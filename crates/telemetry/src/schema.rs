@@ -374,7 +374,7 @@ mod tests {
             "sampling.snapshot",
             9,
             &[
-                ("refresh", Field::Str("patched")),
+                ("refresh", Field::Str("built")),
                 ("nodes", Field::U64(1500)),
             ],
         );

@@ -71,8 +71,8 @@ pub enum Stage {
     SchedulerDecide,
     /// One sampling-operator walk (burn-in or reset continuation).
     SamplingWalk,
-    /// One occasion-snapshot refresh (cache probe + build/patch/reuse of
-    /// the CSR, weight, and M–H proposal tables).
+    /// One occasion-snapshot refresh (weight capture, then reuse or
+    /// rebuild of the M–H acceptance and proposal tables).
     SnapshotBuild,
     /// One occasion walk batch through the parallel executor (snapshot
     /// refresh + all slot walks + reassembly).

@@ -11,9 +11,7 @@
 //!   both with and without `--telemetry` — and byte-diff the stdout
 //!   traces and the JSONL event streams. Also replays each scenario
 //!   with `--sampling-workers 4` and requires the trace to match the
-//!   inline run byte-for-byte (worker-count independence), with
-//!   `DIGEST_SNAPSHOT_CACHE=0` to prove the occasion-snapshot cache
-//!   never moves a byte of output even under churn, and with
+//!   inline run byte-for-byte (worker-count independence), and with
 //!   `--event-loop` to prove the hint-driven event scheduler replays
 //!   the dense tick sweep exactly. A sketch-aggregate leg replays the
 //!   `p90+distinct+top4` mux mix the same way (replay + workers=4
@@ -359,31 +357,6 @@ fn run_determinism(root: &Path) -> ExitCode {
             Err(e) => {
                 println!("ERROR");
                 eprintln!("xtask determinism: scenario {label} (workers=4): {e}");
-                all_identical = false;
-            }
-        }
-
-        // Re-run with the occasion-snapshot cache disabled: caching is a
-        // pure perf optimisation, so forcing a cold snapshot rebuild at
-        // every occasion must not move a single byte of the trace. The
-        // memory world churns the overlay every tick, so this leg also
-        // replays the cache's patch/rebuild invalidation paths.
-        print!("xtask determinism: scenario {label} (DIGEST_SNAPSHOT_CACHE=0) ... ");
-        match capture_with_env(&cli, args, root, "DIGEST_SNAPSHOT_CACHE", "0") {
-            Ok(uncached) => match &plain {
-                Some(plain) if *plain == uncached => {
-                    println!("identical ({} trace bytes)", uncached.len());
-                }
-                Some(plain) => {
-                    println!("DIVERGED (snapshot cache leaked into the trace)");
-                    report_divergence(plain, &uncached);
-                    all_identical = false;
-                }
-                None => println!("skipped (no plain trace to compare against)"),
-            },
-            Err(e) => {
-                println!("ERROR");
-                eprintln!("xtask determinism: scenario {label} (DIGEST_SNAPSHOT_CACHE=0): {e}");
                 all_identical = false;
             }
         }
@@ -1200,30 +1173,6 @@ fn run_audit(root: &Path) -> ExitCode {
 fn capture(cli: &Path, args: &[&str], root: &Path) -> Result<Vec<u8>, String> {
     let output = Command::new(cli)
         .args(args)
-        .current_dir(root)
-        .output()
-        .map_err(|e| format!("failed to run {}: {e}", cli.display()))?;
-    if !output.status.success() {
-        return Err(format!(
-            "digest-cli exited with {}: {}",
-            output.status,
-            String::from_utf8_lossy(&output.stderr)
-        ));
-    }
-    Ok(output.stdout)
-}
-
-/// As [`capture`], with one extra environment variable set for the run.
-fn capture_with_env(
-    cli: &Path,
-    args: &[&str],
-    root: &Path,
-    key: &str,
-    value: &str,
-) -> Result<Vec<u8>, String> {
-    let output = Command::new(cli)
-        .args(args)
-        .env(key, value)
         .current_dir(root)
         .output()
         .map_err(|e| format!("failed to run {}: {e}", cli.display()))?;

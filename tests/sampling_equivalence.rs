@@ -8,21 +8,15 @@
 //! 2. **Statistical correctness** — panels drawn through the parallel
 //!    executor stay uniform over tuples (the §V guarantee), measured by
 //!    total-variation distance exactly like the sequential suite.
-//! 3. **Snapshot-cache invisibility** — overlay churn between occasions
-//!    (joins, departures, rewired edges) must leave the cached /
-//!    incrementally-patched snapshot path byte-identical to cold
-//!    rebuilds, for every worker count and seed, and caching must not
-//!    move a single caller-RNG draw (estimators consume that stream).
+//! 3. **Table-reuse invisibility** — overlay churn between occasions
+//!    (joins, departures, rewired edges) must leave the reused-or-rebuilt
+//!    M–H tables byte-identical to rebuilding them every occasion, for
+//!    every worker count and seed.
 
-use digest::core::{
-    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, Precision, SchedulerKind,
-};
-use digest::db::{Expr, P2PDatabase, Schema, Tuple};
+use digest::db::{P2PDatabase, Schema, Tuple};
 use digest::net::{topology, Graph, NodeId};
 use digest::sampling::{SamplingConfig, SamplingOperator};
-use digest::sim::{run, RunConfig};
 use digest::stats::{total_variation_distance, DiscreteDistribution};
-use digest::workload::{MemoryConfig, MemoryWorkload, Workload};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -143,29 +137,50 @@ fn draw_occasion(
     fp.push(op.total_messages());
 }
 
+/// Bumps `g`'s mutation epoch without changing what a walk can see:
+/// adds an edge between `origin` and a non-neighbor, then removes it.
+/// The edge is appended to both rows and swap-removed from their ends,
+/// so every neighbor list keeps its content and order; only arena slots
+/// may move (row relocation), which the rebuilt tables must follow.
+fn force_rebuild(g: &mut Graph, origin: NodeId) {
+    let other = g
+        .nodes()
+        .find(|&u| u != origin && !g.has_edge(origin, u))
+        .unwrap();
+    assert!(g.add_edge(origin, other).unwrap());
+    assert!(g.remove_edge(origin, other).unwrap());
+}
+
 /// Replays a fixed churn script — two quiet occasions, then a join
 /// (node + two edges), a departure, and an edge rewire, each followed by
 /// an occasion — and fingerprints everything the operator returned plus
 /// the caller RNG's final position. The graph, database, and mutation
-/// sequence are reconstructed identically on every call, so any
-/// fingerprint difference is the snapshot cache's fault.
-fn churned_fingerprint(seed: u64, workers: usize, cache_snapshots: bool) -> Vec<u64> {
+/// sequence are reconstructed identically on every call. With `cold`
+/// set, [`force_rebuild`] runs before every occasion, so the operator
+/// rebuilds its tables each time: the reference the reusing run must
+/// match byte for byte.
+fn churned_fingerprint(seed: u64, workers: usize, cold: bool) -> Vec<u64> {
     let mut topo_rng = ChaCha8Rng::seed_from_u64(0xC0FF_EE00 ^ seed);
     let mut g = topology::barabasi_albert(100, 2, &mut topo_rng).unwrap();
     let mut db = skewed_db(&g);
     let mut op = SamplingOperator::new(SamplingConfig {
         workers,
-        cache_snapshots,
         ..SamplingConfig::recommended(g.node_count())
     })
     .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let origin = g.nodes().next().unwrap();
     let mut fp = Vec::new();
+    let mut occasion = |g: &mut Graph, db: &P2PDatabase, fp: &mut Vec<u64>| {
+        if cold {
+            force_rebuild(g, origin);
+        }
+        draw_occasion(g, db, &mut op, origin, 20, &mut rng, fp);
+    };
 
-    // Two quiet occasions: the second is the cache's reuse case.
-    draw_occasion(&g, &db, &mut op, origin, 20, &mut rng, &mut fp);
-    draw_occasion(&g, &db, &mut op, origin, 20, &mut rng, &mut fp);
+    // Two quiet occasions: the second is the reuse case.
+    occasion(&mut g, &db, &mut fp);
+    occasion(&mut g, &db, &mut fp);
 
     // Join: a new node with content and two edges.
     let joined = g.add_node();
@@ -174,7 +189,7 @@ fn churned_fingerprint(seed: u64, workers: usize, cache_snapshots: bool) -> Vec<
     g.add_edge(joined, origin).unwrap();
     let anchor = g.nodes().find(|&u| u != joined && u != origin).unwrap();
     g.add_edge(joined, anchor).unwrap();
-    draw_occasion(&g, &db, &mut op, origin, 20, &mut rng, &mut fp);
+    occasion(&mut g, &db, &mut fp);
 
     // Departure: remove a node (its tuples become unreachable).
     let victim = g
@@ -182,7 +197,7 @@ fn churned_fingerprint(seed: u64, workers: usize, cache_snapshots: bool) -> Vec<
         .find(|&u| u != origin && u != joined && u != anchor)
         .unwrap();
     g.remove_node(victim).unwrap();
-    draw_occasion(&g, &db, &mut op, origin, 20, &mut rng, &mut fp);
+    occasion(&mut g, &db, &mut fp);
 
     // Rewire: detach one edge and attach its endpoint elsewhere.
     let a = g
@@ -196,82 +211,39 @@ fn churned_fingerprint(seed: u64, workers: usize, cache_snapshots: bool) -> Vec<
         .unwrap();
     g.remove_edge(a, b).unwrap();
     g.add_edge(a, c).unwrap();
-    draw_occasion(&g, &db, &mut op, origin, 20, &mut rng, &mut fp);
+    occasion(&mut g, &db, &mut fp);
 
-    if cache_snapshots {
-        let stats = op.snapshot_stats();
-        assert_eq!(stats.built, 1, "seed {seed}: one cold build");
+    let stats = op.snapshot_stats();
+    if cold {
+        assert_eq!(stats.built, 5, "seed {seed}: every occasion rebuilds");
+        assert_eq!(stats.reused, 0, "seed {seed}: cold run never reuses");
+    } else {
+        assert_eq!(
+            stats.built, 4,
+            "seed {seed}: first and churn occasions build"
+        );
         assert_eq!(stats.reused, 1, "seed {seed}: quiet occasion reuses");
-        assert_eq!(stats.patched, 3, "seed {seed}: churn occasions patch");
     }
     fp.push(rng.next_u64());
     fp
 }
 
-/// Churn-invalidation suite: cached/patched snapshots must be invisible
-/// — byte-identical panels versus a cold-build run — across {1,2,4,8}
-/// workers and 8 seeds, with joins, departures, and rewires between
-/// occasions.
+/// Churn-invalidation suite: reused tables must be invisible —
+/// byte-identical panels versus a run that rebuilds every occasion —
+/// across {1,2,4,8} workers and 8 seeds, with joins, departures, and
+/// rewires between occasions.
 #[test]
 fn churned_overlay_panels_match_cold_builds_across_workers_and_seeds() {
     for seed in [2, 3, 5, 7, 11, 13, 17, 19] {
-        let cold = churned_fingerprint(seed, 1, false);
+        let cold = churned_fingerprint(seed, 1, true);
         for workers in [1, 2, 4, 8] {
-            let cached = churned_fingerprint(seed, workers, true);
+            let reused = churned_fingerprint(seed, workers, false);
             assert_eq!(
-                cold, cached,
-                "seed {seed}, {workers} workers: cached snapshot diverged from cold build"
+                cold, reused,
+                "seed {seed}, {workers} workers: reused tables diverged from cold builds"
             );
         }
     }
-}
-
-/// Estimator-level RNG pin: a full Digest run over a churning MEMORY
-/// world must consume the caller RNG stream identically with snapshot
-/// caching on and off — the cache may only skip rebuild work, never
-/// move a draw. (Estimators sit between the RNG and the operator, so
-/// equality here pins their draws too.)
-#[test]
-fn snapshot_caching_does_not_change_estimator_rng_draws() {
-    let run_once = |cache_snapshots: bool| {
-        let mut w = MemoryWorkload::new(MemoryConfig {
-            leave_prob: 0.002,
-            join_rate: 0.8,
-            seed: 5,
-            ..MemoryConfig::reduced(200, 100, 2_400)
-        });
-        let query = ContinuousQuery::avg(
-            Expr::first_attr(w.db().schema()),
-            Precision::new(10.0, 3.0, 0.95).unwrap(),
-        );
-        let mut sys = DigestEngine::new(
-            query,
-            EngineConfig {
-                scheduler: SchedulerKind::Pred(3),
-                estimator: EstimatorKind::Repeated,
-                sampling: SamplingConfig {
-                    cache_snapshots,
-                    ..SamplingConfig::recommended(w.graph().node_count())
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let report = run(&mut w, &mut sys, RunConfig::default(), 10.0, 3.0, &mut rng).unwrap();
-        (
-            report.ticks(),
-            report.total_snapshots(),
-            report.confidence_violation_rate().to_bits(),
-            report.resolution_violation_rate().to_bits(),
-            rng.next_u64(),
-        )
-    };
-    assert_eq!(
-        run_once(true),
-        run_once(false),
-        "snapshot caching moved an estimator RNG draw or a result"
-    );
 }
 
 #[test]
