@@ -148,8 +148,8 @@ impl MessageLedger {
     #[must_use]
     pub(crate) fn has_filter(&self, expr: &Expr, predicate: &Predicate, epsilon: f64) -> bool {
         self.epsilon.to_bits() == epsilon.to_bits()
-            && same_expr(&self.expr, expr)
-            && same_predicate(&self.predicate, predicate)
+            && self.expr.same_bits(expr)
+            && self.predicate.same_bits(predicate)
     }
 }
 
@@ -166,45 +166,6 @@ fn entry_mut(table: &mut Vec<Vec<FilterEntry>>, handle: TupleHandle) -> &mut Fil
         row.resize(slot + 1, FilterEntry::default());
     }
     &mut row[slot]
-}
-
-/// Structural expression equality with constants compared by bit pattern.
-fn same_expr(a: &Expr, b: &Expr) -> bool {
-    match (a, b) {
-        (Expr::Attr { index: i, .. }, Expr::Attr { index: j, .. }) => i == j,
-        (Expr::Const(x), Expr::Const(y)) => x.to_bits() == y.to_bits(),
-        (Expr::Neg(x), Expr::Neg(y)) => same_expr(x, y),
-        (
-            Expr::Binary { op, lhs, rhs },
-            Expr::Binary {
-                op: op2,
-                lhs: lhs2,
-                rhs: rhs2,
-            },
-        ) => op == op2 && same_expr(lhs, lhs2) && same_expr(rhs, rhs2),
-        _ => false,
-    }
-}
-
-/// [`same_expr`] lifted to predicates.
-fn same_predicate(a: &Predicate, b: &Predicate) -> bool {
-    match (a, b) {
-        (Predicate::True, Predicate::True) => true,
-        (
-            Predicate::Cmp { op, lhs, rhs },
-            Predicate::Cmp {
-                op: op2,
-                lhs: lhs2,
-                rhs: rhs2,
-            },
-        ) => op == op2 && same_expr(lhs, lhs2) && same_expr(rhs, rhs2),
-        (Predicate::And(a1, b1), Predicate::And(a2, b2))
-        | (Predicate::Or(a1, b1), Predicate::Or(a2, b2)) => {
-            same_predicate(a1, a2) && same_predicate(b1, b2)
-        }
-        (Predicate::Not(x), Predicate::Not(y)) => same_predicate(x, y),
-        _ => false,
-    }
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ pub mod sketch_est;
 pub mod statement;
 pub mod system;
 pub mod tag;
+pub mod truth;
 
 pub use engine::{DigestEngine, EngineConfig, EstimatorKind, SchedulerKind};
 pub use error::CoreError;
@@ -61,6 +62,7 @@ pub use system::{
     MuxObserver, NoopMuxObserver, NoopObserver, QuerySystem, TickContext, TickObserver, TickOutcome,
 };
 pub use tag::{TagConfig, TreeAggregationEngine};
+pub use truth::TruthTable;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

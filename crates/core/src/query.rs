@@ -15,6 +15,7 @@
 //! sampling can serve).
 
 use crate::error::CoreError;
+use crate::truth::Pass;
 use crate::Result;
 use digest_db::{Expr, Predicate};
 use std::fmt;
@@ -198,61 +199,16 @@ impl ContinuousQuery {
 
     /// Oracle: the exact current answer of this query against a database
     /// (ground truth for simulation; a real peer cannot compute this).
+    /// One scan of the query's truth family, then the finish for its
+    /// operation — a [`crate::TruthTable`] of one.
     ///
     /// Returns `None` when the answer is undefined (e.g. `AVG`/`MEDIAN`
     /// over an empty qualifying set) or evaluation fails.
     #[must_use]
     pub fn oracle(&self, db: &digest_db::P2PDatabase) -> Option<f64> {
-        match self.op {
-            AggregateOp::Avg => db.exact_avg_where(&self.expr, &self.predicate).ok(),
-            AggregateOp::Sum => db.exact_sum_where(&self.expr, &self.predicate).ok(),
-            AggregateOp::Count => db.exact_count_where(&self.predicate).ok().map(|c| c as f64),
-            AggregateOp::Median | AggregateOp::Percentile { .. } => {
-                // quantile_rank is Some for both arms by construction.
-                let q = self.op.quantile_rank()?;
-                let mut values = Vec::new();
-                for (_, tuple) in db.iter() {
-                    if self.predicate.eval(tuple).ok()? {
-                        values.push(self.expr.eval(tuple).ok()?);
-                    }
-                }
-                if values.is_empty() {
-                    return None;
-                }
-                values.sort_by(f64::total_cmp);
-                digest_stats::sample_quantile(&values, q).ok()
-            }
-            AggregateOp::Distinct => {
-                let mut cells = std::collections::BTreeSet::new();
-                for (_, tuple) in db.iter() {
-                    if self.predicate.eval(tuple).ok()? {
-                        cells.insert(digest_sketch::value_cell(self.expr.eval(tuple).ok()?));
-                    }
-                }
-                #[allow(clippy::cast_precision_loss)]
-                Some(cells.len() as f64)
-            }
-            AggregateOp::TopK { k } => {
-                let mut counts: std::collections::BTreeMap<i64, u64> =
-                    std::collections::BTreeMap::new();
-                let mut total: u64 = 0;
-                for (_, tuple) in db.iter() {
-                    if self.predicate.eval(tuple).ok()? {
-                        let cell = digest_sketch::value_cell(self.expr.eval(tuple).ok()?);
-                        *counts.entry(cell).or_insert(0) += 1;
-                        total += 1;
-                    }
-                }
-                if total == 0 {
-                    return None;
-                }
-                let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
-                entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
-                let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
-                #[allow(clippy::cast_precision_loss)]
-                Some((top as f64 / total as f64).clamp(0.0, 1.0))
-            }
-        }
+        let mut pass = Pass::for_op(self.op);
+        pass.run(db, &self.expr, &self.predicate).ok()?;
+        pass.finish(self.op)
     }
 }
 

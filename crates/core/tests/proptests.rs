@@ -8,10 +8,153 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_core::{AggregateOp, ContinuousQuery, PanelKey, Precision, RoundPlanner};
+use digest_core::{AggregateOp, ContinuousQuery, PanelKey, Precision, RoundPlanner, TruthTable};
 use digest_core::{AllScheduler, PredScheduler, SnapshotScheduler};
-use digest_db::{Expr, Predicate, Schema};
+use digest_db::expr::BinOp;
+use digest_db::{CmpOp, Expr, P2PDatabase, Predicate, Schema, Tuple};
+use digest_net::NodeId;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Float constants the truth keys are built from: signed zeros and NaN
+/// are the ones `PartialEq` would conflate or never match.
+const CONSTANTS: [f64; 5] = [0.0, -0.0, f64::NAN, 2.5, -7.0];
+
+/// Attribute values: a coarse grid (so cells and order statistics tie)
+/// plus signed zeros, NaN and infinities.
+fn value(code: u32) -> f64 {
+    match code {
+        0 => -0.0,
+        1 => f64::NAN,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        _ => f64::from(code) / 4.0 - 25.0,
+    }
+}
+
+/// `a`, `a * c`, `a + b`, `1 / (a * c)` or `-(b - c)`.
+fn expr(schema: &Schema, shape: usize, c: f64) -> Expr {
+    let a = Expr::attr(schema, "a").unwrap();
+    let b = Expr::attr(schema, "b").unwrap();
+    match shape {
+        0 => a,
+        1 => Expr::binary(BinOp::Mul, a, Expr::Const(c)),
+        2 => Expr::binary(BinOp::Add, a, b),
+        3 => Expr::binary(
+            BinOp::Div,
+            Expr::Const(1.0),
+            Expr::binary(BinOp::Mul, a, Expr::Const(c)),
+        ),
+        _ => -Expr::binary(BinOp::Sub, b, Expr::Const(c)),
+    }
+}
+
+/// No `WHERE`, `a > c`, a predicate nothing satisfies, `b <= c or
+/// not a = c`, or `a + c > 0`.
+fn predicate(schema: &Schema, shape: usize, c: f64) -> Predicate {
+    let a = || Expr::attr(schema, "a").unwrap();
+    let b = || Expr::attr(schema, "b").unwrap();
+    match shape {
+        0 => Predicate::True,
+        1 => Predicate::cmp(CmpOp::Gt, a(), Expr::Const(c)),
+        2 => Predicate::cmp(CmpOp::Gt, a(), Expr::Const(1e300)),
+        3 => Predicate::cmp(CmpOp::Le, b(), Expr::Const(c)).or(Predicate::cmp(
+            CmpOp::Eq,
+            a(),
+            Expr::Const(c),
+        )
+        .not()),
+        _ => Predicate::cmp(CmpOp::Gt, a() + Expr::Const(c), Expr::Const(0.0)),
+    }
+}
+
+/// All seven aggregate kinds; `param` picks the rank or `k`.
+fn op(kind: usize, param: u16) -> AggregateOp {
+    match kind {
+        0 => AggregateOp::Avg,
+        1 => AggregateOp::Sum,
+        2 => AggregateOp::Count,
+        3 => AggregateOp::Median,
+        4 => AggregateOp::Percentile {
+            q_permille: 1 + param % 999,
+        },
+        5 => AggregateOp::Distinct,
+        _ => AggregateOp::TopK { k: 1 + param % 6 },
+    }
+}
+
+/// A database over `nodes` nodes holding `rows` round-robin, with the
+/// nodes whose bit is set in `departed` removed again (tuples and all).
+fn database(schema: &Schema, nodes: u32, rows: &[(u32, u32)], departed: u32) -> P2PDatabase {
+    let mut db = P2PDatabase::new(schema.clone());
+    for node in 0..nodes {
+        // Sparse ids: departed and never-registered slots interleave.
+        db.register_node(NodeId(2 * node));
+    }
+    for (i, &(a, b)) in rows.iter().enumerate() {
+        let node = NodeId(2 * (i as u32 % nodes));
+        db.insert(node, Tuple::new(vec![value(a), value(b)]))
+            .unwrap();
+    }
+    for node in 0..nodes {
+        if departed & (1 << node) != 0 {
+            db.remove_node(NodeId(2 * node)).unwrap();
+        }
+    }
+    db
+}
+
+/// The per-op oracle as first written, one scan per query: the `exact_*`
+/// database oracles for the moments, and the original collecting loops
+/// for the order statistics and value cells.
+fn reference_oracle(q: &ContinuousQuery, db: &P2PDatabase) -> Option<f64> {
+    match q.op {
+        AggregateOp::Avg => db.exact_avg_where(&q.expr, &q.predicate).ok(),
+        AggregateOp::Sum => db.exact_sum_where(&q.expr, &q.predicate).ok(),
+        AggregateOp::Count => db.exact_count_where(&q.predicate).ok().map(|c| c as f64),
+        AggregateOp::Median | AggregateOp::Percentile { .. } => {
+            let rank = q.op.quantile_rank()?;
+            let mut values = Vec::new();
+            for (_, tuple) in db.iter() {
+                if q.predicate.eval(tuple).ok()? {
+                    values.push(q.expr.eval(tuple).ok()?);
+                }
+            }
+            if values.is_empty() {
+                return None;
+            }
+            values.sort_by(f64::total_cmp);
+            digest_stats::sample_quantile(&values, rank).ok()
+        }
+        AggregateOp::Distinct => {
+            let mut cells = BTreeSet::new();
+            for (_, tuple) in db.iter() {
+                if q.predicate.eval(tuple).ok()? {
+                    cells.insert(digest_sketch::value_cell(q.expr.eval(tuple).ok()?));
+                }
+            }
+            Some(cells.len() as f64)
+        }
+        AggregateOp::TopK { k } => {
+            let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
+            let mut total: u64 = 0;
+            for (_, tuple) in db.iter() {
+                if q.predicate.eval(tuple).ok()? {
+                    let cell = digest_sketch::value_cell(q.expr.eval(tuple).ok()?);
+                    *counts.entry(cell).or_insert(0) += 1;
+                    total += 1;
+                }
+            }
+            if total == 0 {
+                return None;
+            }
+            let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
+            entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
+            let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
+            Some((top as f64 / total as f64).clamp(0.0, 1.0))
+        }
+    }
+}
 
 proptest! {
     #[test]
@@ -178,5 +321,62 @@ proptest! {
         prop_assert!(ka.shares_panel(&kb));
         prop_assert!(!ka.shares_panel(&PanelKey::size_estimation()));
         prop_assert!(!PanelKey::size_estimation().shares_panel(&kb));
+    }
+
+    /// The shared truth table hands every member exactly the bits of its
+    /// own per-op reference oracle — across duplicate and distinct keys,
+    /// signed-zero and NaN constants, empty `WHERE` sets and departed
+    /// nodes — and keeps doing so when its scratch is reused on a second
+    /// database. A member may bring a twin whose expression constant has
+    /// the opposite sign bit (`0.0` against `-0.0`), which must get a
+    /// pass of its own.
+    #[test]
+    fn truth_table_matches_per_query_oracles_bit_for_bit(
+        members in proptest::collection::vec(
+            (
+                0usize..7,
+                (0usize..5, 0usize..5, 0usize..2),
+                (0usize..5, 0usize..5),
+                0u16..1000,
+            ),
+            1..12,
+        ),
+        nodes in 1u32..6,
+        rows in proptest::collection::vec((0u32..200, 0u32..200), 0..60),
+        departed in (0u32..64, 0u32..64),
+        split in 0usize..60,
+    ) {
+        let schema = Schema::new(["a", "b"]);
+        let queries: Vec<ContinuousQuery> = members
+            .iter()
+            .flat_map(|&(kind, (shape, ce, twin), (pshape, cp), param)| {
+                let c = CONSTANTS[ce];
+                let constants = if twin == 1 { vec![c, -c] } else { vec![c] };
+                let schema = &schema;
+                constants.into_iter().map(move |c| {
+                    ContinuousQuery::new(
+                        op(kind, param),
+                        expr(schema, shape, c),
+                        Precision::new(1.0, 1.0, 0.9).unwrap(),
+                    )
+                    .with_predicate(predicate(schema, pshape, CONSTANTS[cp]))
+                })
+            })
+            .collect();
+        let mut table = TruthTable::new(&queries);
+        prop_assert!(table.passes() >= 1 && table.passes() <= queries.len());
+
+        // Evaluate twice on different databases: the second pass reuses
+        // (and must fully overwrite) the first one's scratch.
+        let split = split.min(rows.len());
+        for (db_rows, gone) in [(&rows[..], departed.0), (&rows[split..], departed.1)] {
+            let db = database(&schema, nodes, db_rows, gone);
+            table.evaluate(&db);
+            for (i, q) in queries.iter().enumerate() {
+                let expected = reference_oracle(q, &db).map(f64::to_bits);
+                prop_assert_eq!(table.truth(i).map(f64::to_bits), expected, "table, {}", q);
+                prop_assert_eq!(q.oracle(&db).map(f64::to_bits), expected, "oracle, {}", q);
+            }
+        }
     }
 }

@@ -301,7 +301,15 @@ impl P2PDatabase {
         Ok(count)
     }
 
-    fn sum_count_where(&self, expr: &Expr, predicate: &Predicate) -> Result<(f64, usize)> {
+    /// Oracle: `(SUM(expression), COUNT(*)) WHERE predicate` in one pass,
+    /// summing in [`P2PDatabase::iter`] order — the pass every
+    /// `AVG`/`SUM`/`COUNT` ground truth reads.
+    ///
+    /// # Errors
+    ///
+    /// Any expression/predicate evaluation error.
+    /// xtask: no-alloc
+    pub fn sum_count_where(&self, expr: &Expr, predicate: &Predicate) -> Result<(f64, usize)> {
         let mut sum = 0.0;
         let mut count = 0usize;
         for (_, tuple) in self.iter() {

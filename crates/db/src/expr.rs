@@ -127,6 +127,29 @@ impl Expr {
         }
     }
 
+    /// Structural equality with constants compared by bit pattern: two
+    /// expressions that are `same_bits` evaluate to bit-identical values
+    /// on every tuple. The derived `PartialEq` is too coarse for that,
+    /// since it treats `0.0 == -0.0` (which `1 / (x * c)` tells apart)
+    /// and `NaN != NaN`.
+    #[must_use]
+    pub fn same_bits(&self, other: &Expr) -> bool {
+        match (self, other) {
+            (Expr::Attr { index: i, .. }, Expr::Attr { index: j, .. }) => i == j,
+            (Expr::Const(x), Expr::Const(y)) => x.to_bits() == y.to_bits(),
+            (Expr::Neg(x), Expr::Neg(y)) => x.same_bits(y),
+            (
+                Expr::Binary { op, lhs, rhs },
+                Expr::Binary {
+                    op: op2,
+                    lhs: lhs2,
+                    rhs: rhs2,
+                },
+            ) => op == op2 && lhs.same_bits(lhs2) && rhs.same_bits(rhs2),
+            _ => false,
+        }
+    }
+
     /// Parses an expression against a schema.
     ///
     /// Grammar: `expr := term (('+'|'-') term)*`,
@@ -348,6 +371,38 @@ mod tests {
         let s = schema();
         let e = Expr::attr(&s, "memory").unwrap() + Expr::attr(&s, "storage").unwrap();
         assert_eq!(e.eval(&tuple()).unwrap(), 108.0);
+    }
+
+    #[test]
+    fn same_bits_tells_signed_zeros_apart() {
+        let s = schema();
+        let pos = Expr::parse("memory * 0.0", &s).unwrap();
+        let neg = Expr::binary(
+            BinOp::Mul,
+            Expr::attr(&s, "memory").unwrap(),
+            Expr::constant(-0.0),
+        );
+        // The derived equality would let these share one truth pass…
+        assert_eq!(pos, neg);
+        assert!(!pos.same_bits(&neg));
+        // …yet they evaluate to different bits, which `1 / e` exposes.
+        let t = tuple();
+        assert_ne!(
+            pos.eval(&t).unwrap().to_bits(),
+            neg.eval(&t).unwrap().to_bits()
+        );
+        let recip = |e: &Expr| Expr::binary(BinOp::Div, Expr::constant(1.0), e.clone());
+        assert_eq!(recip(&pos).eval(&t).unwrap(), f64::INFINITY);
+        assert_eq!(recip(&neg).eval(&t).unwrap(), f64::NEG_INFINITY);
+
+        assert!(pos.same_bits(&Expr::parse("memory * 0", &s).unwrap()));
+        // Constants match by bit pattern, so one NaN matches itself.
+        let nan = Expr::constant(f64::NAN);
+        assert_ne!(nan, nan.clone());
+        assert!(nan.same_bits(&nan.clone()));
+        assert!(!Expr::attr(&s, "cpu")
+            .unwrap()
+            .same_bits(&Expr::attr(&s, "memory").unwrap()));
     }
 
     #[test]

@@ -128,6 +128,30 @@ impl Predicate {
         }
     }
 
+    /// [`Expr::same_bits`] lifted to predicates: two `same_bits`
+    /// predicates select the same tuples and compare bit-identical
+    /// operands.
+    #[must_use]
+    pub fn same_bits(&self, other: &Predicate) -> bool {
+        match (self, other) {
+            (Predicate::True, Predicate::True) => true,
+            (
+                Predicate::Cmp { op, lhs, rhs },
+                Predicate::Cmp {
+                    op: op2,
+                    lhs: lhs2,
+                    rhs: rhs2,
+                },
+            ) => op == op2 && lhs.same_bits(lhs2) && rhs.same_bits(rhs2),
+            (Predicate::And(a1, b1), Predicate::And(a2, b2))
+            | (Predicate::Or(a1, b1), Predicate::Or(a2, b2)) => {
+                a1.same_bits(a2) && b1.same_bits(b2)
+            }
+            (Predicate::Not(x), Predicate::Not(y)) => x.same_bits(y),
+            _ => false,
+        }
+    }
+
     /// Parses a predicate against a schema.
     ///
     /// Grammar (keywords case-insensitive):
@@ -356,6 +380,26 @@ mod tests {
 
     fn tuple(cpu: f64, memory: f64, storage: f64) -> Tuple {
         Tuple::new(vec![cpu, memory, storage])
+    }
+
+    #[test]
+    fn same_bits_compares_structure_and_constant_bits() {
+        let s = schema();
+        let p = |text: &str| Predicate::parse(text, &s).unwrap();
+        assert!(p("cpu > 1 and not memory < 2").same_bits(&p("cpu > 1 and not memory < 2")));
+        assert!(!p("cpu > 1 and memory < 2").same_bits(&p("cpu > 1 or memory < 2")));
+        assert!(!p("cpu > 1").same_bits(&p("cpu >= 1")));
+        let zero = |c: f64| {
+            Predicate::cmp(
+                CmpOp::Gt,
+                Expr::attr(&s, "cpu").unwrap() + Expr::constant(c),
+                Expr::constant(0.0),
+            )
+        };
+        assert_eq!(zero(0.0), zero(-0.0));
+        assert!(!zero(0.0).same_bits(&zero(-0.0)));
+        assert!(Predicate::True.same_bits(&Predicate::True));
+        assert!(!Predicate::True.same_bits(&p("cpu > 1")));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::events::EventQueue;
 use crate::trace::{RunReport, TraceRecord};
 use digest_core::{
     CoreError, MuxObserver, NoopObserver, QueryMux, QuerySystem, Result, TickContext, TickObserver,
+    TruthTable,
 };
 use digest_net::NodeId;
 use digest_telemetry::{registry as telemetry, Field, Stage};
@@ -266,9 +267,13 @@ fn step_tick<W: Workload, S: QuerySystem + ?Sized>(
         let outcome = system.on_tick(&ctx, rng)?;
         // Ground truth for the *system's* query when it can provide
         // one (COUNT/SUM/MEDIAN/WHERE); plain-AVG oracle otherwise.
-        let exact = system
-            .oracle_truth(&ctx)
-            .unwrap_or_else(|| workload.exact_aggregate());
+        let exact = {
+            let _span = digest_telemetry::span(Stage::Oracle);
+            telemetry::SIM_ORACLE_PASSES.inc();
+            system
+                .oracle_truth(&ctx)
+                .unwrap_or_else(|| workload.exact_aggregate())
+        };
         // Stamp this tick's remaining events (and the observer's
         // audit events) with the occasion that produced the current
         // estimate.
@@ -312,6 +317,12 @@ fn step_tick<W: Workload, S: QuerySystem + ?Sized>(
 /// observer callback — with the coalesced round's trace id attached when
 /// the member's occasion was served from a shared sampling round.
 ///
+/// The truths come from one [`TruthTable`] built before the first tick:
+/// each tick, after the mux has served the members, it makes one oracle
+/// pass per distinct `(family, expr, predicate)` key, so members reading
+/// the same scan share it. Every member's truth is bit-identical to its
+/// query's [`ContinuousQuery::oracle`](digest_core::ContinuousQuery::oracle).
+///
 /// The member set must stay fixed for the duration of the run (register
 /// before calling; dynamic arrival/departure workloads drive the mux
 /// directly).
@@ -347,6 +358,7 @@ pub fn run_mux<W: Workload>(
     };
 
     let ids = mux.query_ids();
+    let mut truths = TruthTable::new(ids.iter().filter_map(|&id| mux.query(id)));
     let mut records: BTreeMap<u64, Vec<TraceRecord>> = ids
         .iter()
         .map(|&id| {
@@ -375,11 +387,18 @@ pub fn run_mux<W: Workload>(
             origin,
         };
         let outcomes = mux.on_tick_mux(&ctx, rng)?;
+        {
+            let _span = digest_telemetry::span(Stage::Oracle);
+            truths.evaluate(ctx.db);
+            telemetry::SIM_ORACLE_PASSES.add(truths.passes() as u64);
+        }
         for o in &outcomes {
-            // Each member's ground truth is its own query's oracle.
-            let exact = mux
-                .query(o.query)
-                .and_then(|q| q.oracle(ctx.db))
+            // Each member's ground truth is its own query's oracle, read
+            // from this tick's shared passes (`ids` is ascending).
+            let exact = ids
+                .binary_search(&o.query)
+                .ok()
+                .and_then(|member| truths.truth(member))
                 .unwrap_or_else(|| workload.exact_aggregate());
             // Attribute the member's tick/audit events to the occasion
             // that produced its current estimate.

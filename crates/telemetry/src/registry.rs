@@ -103,6 +103,9 @@ pub static STATS_PRED_BOOTSTRAPS: Counter = Counter::new();
 pub static SIM_TICKS: Counter = Counter::new();
 /// Replications completed by the parallel harness.
 pub static SIM_REPLICATIONS: Counter = Counter::new();
+/// Ground-truth oracle passes over the database (one per distinct truth
+/// key per tick in a mux run; one per tick in a solo run).
+pub static SIM_ORACLE_PASSES: Counter = Counter::new();
 
 /// A reference to one registered metric.
 #[derive(Debug, Clone, Copy)]
@@ -264,6 +267,10 @@ static DESCRIPTORS: &[Descriptor] = &[
     Descriptor {
         name: "sim.replications",
         handle: H::Counter(&SIM_REPLICATIONS),
+    },
+    Descriptor {
+        name: "sim.oracle.passes",
+        handle: H::Counter(&SIM_ORACLE_PASSES),
     },
 ];
 

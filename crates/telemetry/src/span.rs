@@ -77,6 +77,9 @@ pub enum Stage {
     /// One occasion walk batch through the parallel executor (snapshot
     /// refresh + all slot walks + reassembly).
     SamplingBatch,
+    /// One tick's ground truth: every oracle pass the runner makes to
+    /// score the reported estimates (a harness cost, not the system's).
+    Oracle,
     /// One full simulation replication (parallel harness).
     Replication,
 }
@@ -91,6 +94,7 @@ pub const STAGES: &[Stage] = &[
     Stage::SamplingWalk,
     Stage::SnapshotBuild,
     Stage::SamplingBatch,
+    Stage::Oracle,
     Stage::Replication,
 ];
 
@@ -107,6 +111,7 @@ impl Stage {
             Stage::SamplingWalk => "sampling_walk",
             Stage::SnapshotBuild => "snapshot_build",
             Stage::SamplingBatch => "sampling_batch",
+            Stage::Oracle => "oracle",
             Stage::Replication => "replication",
         }
     }
@@ -121,7 +126,8 @@ impl Stage {
             Stage::SamplingWalk => 5,
             Stage::SnapshotBuild => 6,
             Stage::SamplingBatch => 7,
-            Stage::Replication => 8,
+            Stage::Oracle => 8,
+            Stage::Replication => 9,
         }
     }
 }
@@ -147,7 +153,7 @@ impl StageStat {
 /// `STATS` table below, never borrowed as a const.
 #[allow(clippy::declare_interior_mutable_const)]
 const STAGE_STAT: StageStat = StageStat::new();
-static STATS: [StageStat; 9] = [STAGE_STAT; 9];
+static STATS: [StageStat; 10] = [STAGE_STAT; 10];
 
 /// Accumulated totals for one stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,7 +277,7 @@ mod tests {
 
     #[test]
     fn stage_names_are_stable() {
-        assert_eq!(STAGES.len(), 9);
+        assert_eq!(STAGES.len(), 10);
         for (i, stage) in STAGES.iter().enumerate() {
             assert_eq!(stage.index(), i);
             assert!(!stage.name().is_empty());

@@ -527,6 +527,10 @@ const SCHEMA_REQUIRED_KINDS: &[&str] = &[
     "tick",
 ];
 
+/// Pipeline stages whose `span` events the traced solo scenario must
+/// show: the per-tick ground-truth oracle, so its time is attributed.
+const SCHEMA_REQUIRED_STAGES: &[&str] = &["oracle"];
+
 /// Event kinds the mux telemetry-schema leg must additionally cover: the
 /// shared-round envelope plus the member occasions parented to it.
 const MUX_SCHEMA_REQUIRED_KINDS: &[&str] = &["audit.occasion", "mux.round", "tick"];
@@ -587,6 +591,33 @@ fn validate_event_stream(events: &[u8], required: &[&str]) -> bool {
     }
 }
 
+/// Checks that `span` events name every stage in `required` (lines are
+/// canonical sorted-key JSON, already schema-validated). Returns false
+/// after printing the missing stages.
+fn require_span_stages(events: &[u8], required: &[&str]) -> bool {
+    let text = String::from_utf8_lossy(events);
+    let missing: Vec<&str> = required
+        .iter()
+        .copied()
+        .filter(|stage| {
+            let needle = format!("\"stage\":\"{stage}\"");
+            !text
+                .lines()
+                .any(|line| line.contains("\"kind\":\"span\"") && line.contains(&needle))
+        })
+        .collect();
+    if missing.is_empty() {
+        println!("  span stages present: {}", required.join(", "));
+        true
+    } else {
+        eprintln!(
+            "xtask telemetry-schema: FAILED — no span event for stage(s): {}",
+            missing.join(", ")
+        );
+        false
+    }
+}
+
 fn run_telemetry_schema(root: &Path) -> ExitCode {
     let cli = match build_cli(root, "telemetry-schema") {
         Ok(cli) => cli,
@@ -610,7 +641,8 @@ fn run_telemetry_schema(root: &Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut ok = validate_event_stream(&events, SCHEMA_REQUIRED_KINDS);
+    let mut ok = validate_event_stream(&events, SCHEMA_REQUIRED_KINDS)
+        && require_span_stages(&events, SCHEMA_REQUIRED_STAGES);
 
     // Mux leg: the shared-round scenario must emit schema-valid
     // `mux.round` envelopes with member `audit.occasion` events.

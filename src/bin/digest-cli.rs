@@ -44,7 +44,7 @@ use digest::sim::RunConfig;
 use digest::workload::{
     MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload, Workload,
 };
-use digest_telemetry::{Field, JsonlSink, MemorySink, MetricHandle, TeeSink};
+use digest_telemetry::{registry, Field, JsonlSink, MemorySink, MetricHandle, Stage, TeeSink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -567,9 +567,13 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
                 // queries per run the global register still holds the
                 // *last* engine's id after `on_tick`.
                 digest_telemetry::set_trace(engine.trace_id());
-                let exact = engine
-                    .oracle_truth(&ctx)
-                    .unwrap_or_else(|| world.exact_aggregate());
+                let exact = {
+                    let _span = digest_telemetry::span(Stage::Oracle);
+                    registry::SIM_ORACLE_PASSES.inc();
+                    engine
+                        .oracle_truth(&ctx)
+                        .unwrap_or_else(|| world.exact_aggregate())
+                };
                 if let Some(audit) = audits.get_mut(i) {
                     audit.observe(&ctx, &outcome, exact);
                 }

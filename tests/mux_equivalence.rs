@@ -2,7 +2,8 @@
 //! refactor of N independent engines when panel sharing is off, and must
 //! keep every member's `(ε, p)` contract (audited against the oracle)
 //! when sharing is on — at every worker count, with a byte-identical
-//! telemetry trace across worker counts.
+//! telemetry trace across worker counts. The mux runner's shared
+//! ground truth must equal each member's own oracle, bit for bit.
 //!
 //! Everything lives in one `#[test]` because the telemetry sink is
 //! process-global: integration-test binaries are separate processes, but
@@ -11,15 +12,18 @@
 
 use digest::audit::MuxAudit;
 use digest::core::{
-    ContinuousQuery, DigestEngine, EngineConfig, MuxConfig, NoopMuxObserver, Precision, QueryMux,
-    QuerySystem, TickContext,
+    AggregateOp, ContinuousQuery, DigestEngine, EngineConfig, MuxConfig, NoopMuxObserver,
+    Precision, QueryMux, QuerySystem, TickContext,
 };
 use digest::db::{Expr, Predicate};
-use digest::sim::{run_mux, RunConfig};
-use digest::workload::{TemperatureConfig, TemperatureWorkload, Workload};
-use digest_telemetry::MemorySink;
+use digest::sim::{run_mux, RunConfig, TraceRecord};
+use digest::workload::{
+    MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload, Workload,
+};
+use digest_telemetry::{registry, MemorySink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 
 const SEEDS: [u64; 12] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233];
 const WORKERS: [usize; 2] = [1, 4];
@@ -284,9 +288,147 @@ fn check_trace_byte_identity() {
     }
 }
 
+/// Churning MEMORY serving all seven aggregate kinds, with duplicated
+/// members and one `WHERE` member: 10 members over 4 truth keys.
+fn churn_mix() -> (MemoryWorkload, Vec<ContinuousQuery>) {
+    let w = MemoryWorkload::new(MemoryConfig {
+        seed: 11,
+        leave_prob: 0.01,
+        join_rate: 1.0,
+        // MEMORY's `ticks` counts seconds; one tick is 40 s.
+        ..MemoryConfig::reduced(300, 120, TICKS * 40)
+    });
+    let schema = w.db().schema();
+    let memory = Expr::first_attr(schema);
+    let p = |delta, epsilon| Precision::new(delta, epsilon, 0.95).unwrap();
+    let members = [
+        (AggregateOp::Avg, p(4.0, 2.0)),
+        (AggregateOp::Avg, p(8.0, 4.0)),
+        (AggregateOp::Sum, p(30_000.0, 15_000.0)),
+        (AggregateOp::Count, p(60.0, 30.0)),
+        (AggregateOp::Median, p(4.0, 2.0)),
+        (AggregateOp::Median, p(8.0, 3.0)),
+        (AggregateOp::Percentile { q_permille: 900 }, p(4.0, 2.0)),
+        (AggregateOp::Distinct, p(8.0, 0.15)),
+        (AggregateOp::TopK { k: 4 }, p(0.05, 0.1)),
+    ];
+    let mut queries: Vec<ContinuousQuery> = members
+        .into_iter()
+        .map(|(op, precision)| ContinuousQuery::new(op, memory.clone(), precision))
+        .collect();
+    queries.push(
+        ContinuousQuery::avg(memory, p(4.0, 3.0))
+            .with_predicate(Predicate::parse("memory > 515", schema).unwrap()),
+    );
+    (w, queries)
+}
+
+/// Every field of a trace record, floats by bit pattern.
+fn record_bits(r: &TraceRecord) -> [u64; 8] {
+    [
+        r.tick,
+        r.exact.to_bits(),
+        r.estimate.to_bits(),
+        u64::from(r.updated),
+        u64::from(r.snapshot),
+        r.samples,
+        r.fresh_samples,
+        r.messages,
+    ]
+}
+
+/// `run_mux`'s shared truth table hands every member exactly what a hand
+/// loop calling each member's own [`ContinuousQuery::oracle`] computes —
+/// with one oracle pass per distinct truth key per tick.
+fn check_shared_truths_equal_per_member_oracles() {
+    let seed = 5;
+    let (mut w, queries) = churn_mix();
+    let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
+    for q in queries {
+        mux.register(q).unwrap();
+    }
+    let passes_before = registry::SIM_ORACLE_PASSES.get();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let reports = run_mux(
+        &mut w,
+        &mut mux,
+        RunConfig::for_ticks(TICKS),
+        &mut rng,
+        &mut NoopMuxObserver,
+    )
+    .unwrap();
+    assert_eq!(
+        registry::SIM_ORACLE_PASSES.get() - passes_before,
+        4 * TICKS,
+        "10 members over 4 truth keys must make 4 passes a tick"
+    );
+
+    let (mut w, queries) = churn_mix();
+    let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
+    for q in queries {
+        mux.register(q).unwrap();
+    }
+    let ids = mux.query_ids();
+    let mut expected: Vec<Vec<[u64; 8]>> = vec![Vec::new(); ids.len()];
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut origin = w.graph().nodes().next().unwrap();
+    let (mut joins, mut leaves) = (0, 0);
+    for tick in 0..TICKS {
+        let nodes = w.graph().node_count();
+        w.advance(&mut rng);
+        joins += w.graph().node_count().saturating_sub(nodes);
+        leaves += nodes.saturating_sub(w.graph().node_count());
+        if !w.graph().contains(origin) {
+            origin = w.graph().random_node(&mut rng).unwrap();
+        }
+        let ctx = TickContext {
+            tick,
+            graph: w.graph(),
+            db: w.db(),
+            origin,
+        };
+        for o in mux.on_tick_mux(&ctx, &mut rng).unwrap() {
+            let exact = mux
+                .query(o.query)
+                .and_then(|q| q.oracle(ctx.db))
+                .unwrap_or_else(|| w.exact_aggregate());
+            let member = ids.binary_search(&o.query).unwrap();
+            expected[member].push(record_bits(&TraceRecord {
+                tick,
+                exact,
+                estimate: o.outcome.estimate,
+                updated: o.outcome.updated,
+                snapshot: o.outcome.snapshot_executed,
+                samples: o.outcome.samples_this_tick,
+                fresh_samples: o.outcome.fresh_samples_this_tick,
+                messages: o.outcome.messages_this_tick,
+            }));
+        }
+    }
+    assert!(joins + leaves > 0, "the MEMORY world must churn");
+    // Each kind and the WHERE member read a truth of their own; only the
+    // duplicated AVG and MEDIAN members repeat one.
+    let truths: BTreeSet<Vec<u64>> = expected
+        .iter()
+        .map(|records| records.iter().map(|r| r[1]).collect())
+        .collect();
+    assert_eq!(truths.len(), 8, "distinct member truth streams");
+
+    assert_eq!(reports.len(), ids.len());
+    for (member, (report, expected)) in reports.iter().zip(&expected).enumerate() {
+        let got: Vec<[u64; 8]> = report.records.iter().map(record_bits).collect();
+        assert_eq!(
+            &got, expected,
+            "member {member} ({}) diverged from its own oracle",
+            report.system
+        );
+    }
+}
+
 #[test]
 fn mux_equivalence_and_contract_across_seeds_and_workers() {
     check_unshared_identity();
     check_shared_contract();
     check_trace_byte_identity();
+    check_shared_truths_equal_per_member_oracles();
 }
