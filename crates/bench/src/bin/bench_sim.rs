@@ -1,14 +1,15 @@
-//! Million-node overlay benchmark: the flat SoA substrate end to end.
+//! Million-node overlay benchmark: the overlay store end to end.
 //!
 //! Three phases, each with its own allocation-pressure delta from the
 //! counting global allocator:
 //!
-//! * **build** — constructs the Barabási–Albert overlay directly into a
-//!   `NodeStore` (CSR adjacency, u32 ids) and reports nodes/sec plus
-//!   resident bytes/node of the cold store.
+//! * **build** — bulk-loads the Barabási–Albert overlay into a `Graph`
+//!   (u32 CSR neighbor arena) and reports nodes/sec plus resident
+//!   bytes/node of the cold graph (`Graph::heap_bytes`).
 //! * **run (workers = 1)** — the event-driven flat simulation
 //!   (`digest_sim::run_flat`): churn batches + periodic continuous-query
-//!   occasions over the same overlay, reporting events/sec. The event
+//!   occasions answered by the sampling operator's M–H walk over the
+//!   same overlay, reporting events/sec. The event
 //!   queue only charges for due ticks, so the quiet spans between churn
 //!   and query occasions cost nothing — `ticks_executed` ≪ `ticks` is
 //!   the point.
@@ -19,7 +20,8 @@
 //!
 //! `--scale quick` (default, 10⁵ nodes) is the CI smoke configuration;
 //! `--scale full` runs the paper-scale 10⁶-node overlay. Regression
-//! gates: resident bytes/node ≤ 64, workers {1,4} byte-identical, and an
+//! gates: resident bytes/node ≤ 64 (every graph column's capacity plus
+//! the value column), workers {1,4} byte-identical, and an
 //! events/sec floor generous enough to only catch order-of-magnitude
 //! regressions (wall-clock is machine-dependent).
 //!
@@ -40,8 +42,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 20080402;
 
-/// Gate: the flat store must stay within the ISSUE's resident-footprint
-/// budget at every scale.
+/// Gate: the overlay (every graph column plus the value column) must
+/// stay within this resident-footprint budget at every scale.
 const MAX_BYTES_PER_NODE: f64 = 64.0;
 
 /// Gate: events/sec floor (simulation phase, workers = 1). Set two
@@ -104,16 +106,16 @@ fn main() {
     );
     println!();
 
-    // Phase 1: overlay construction into the flat store.
+    // Phase 1: overlay construction.
     let alloc_before_build = AllocSnapshot::now();
     let mut build_rng = ChaCha8Rng::seed_from_u64(SEED);
     let build_start = Instant::now();
-    let store = topology::barabasi_albert_store(config.nodes, config.attach, &mut build_rng)
+    let graph = topology::barabasi_albert(config.nodes, config.attach, &mut build_rng)
         .expect("overlay build");
     let build_ns = build_start.elapsed().as_nanos() as u64;
     let build_alloc = AllocSnapshot::now().delta_since(&alloc_before_build);
     let build_nodes_per_sec = config.nodes as f64 / (build_ns.max(1) as f64 / 1e9);
-    let cold_bytes_per_node = store.bytes_per_node();
+    let cold_bytes_per_node = graph.heap_bytes() as f64 / graph.node_count() as f64;
     println!(
         "build: {} nodes in {:.1} ms → {:.0} nodes/sec, {:.1} bytes/node cold \
          ({} allocations, {} bytes allocated)",
@@ -124,7 +126,7 @@ fn main() {
         build_alloc.allocations,
         build_alloc.bytes,
     );
-    drop(store);
+    drop(graph);
 
     // Phase 2: the event-driven simulation, single-threaded reference.
     let alloc_before_w1 = AllocSnapshot::now();
@@ -151,7 +153,7 @@ fn main() {
         events_per_sec,
     );
     println!(
-        "         {} live nodes, {} store bytes → {:.1} bytes/node \
+        "         {} live nodes, {} graph + value bytes → {:.1} bytes/node \
          ({} allocations, {} bytes allocated)",
         report_w1.live_nodes,
         report_w1.store_bytes,

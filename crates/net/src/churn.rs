@@ -16,7 +16,6 @@
 
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
-use crate::store::NodeStore;
 use crate::Result;
 use digest_telemetry::{registry as telemetry, Field};
 use rand::Rng;
@@ -129,135 +128,72 @@ impl ChurnProcess {
             joins += 1;
         }
         for _ in 0..joins {
-            let new = g.add_node();
-            events.push(ChurnEvent::Joined(new));
-            let peers = g.node_count() - 1;
-            let links = cfg.attach_links.min(peers);
-            let mut attached = 0usize;
-            let mut attempts = 0usize;
-            while attached < links && attempts < 20 * links + 20 {
-                attempts += 1;
-                let target = match self.pick_target(g, new, rng) {
-                    Some(t) => t,
-                    None => break,
-                };
-                if let Ok(true) = g.add_edge(new, target) {
-                    attached += 1;
-                }
-            }
+            self.join(g, rng, &mut events);
         }
 
         if cfg.repair_partitions {
             repair(g, rng);
         }
-
-        let joined = events
-            .iter()
-            .filter(|e| matches!(e, ChurnEvent::Joined(_)))
-            .count() as u64;
-        let left = events.len() as u64 - joined;
-        telemetry::NET_CHURN_JOINS.add(joined);
-        telemetry::NET_CHURN_LEAVES.add(left);
-        if !events.is_empty() && digest_telemetry::events_enabled() {
-            digest_telemetry::emit(
-                "net.churn",
-                &[("joins", Field::U64(joined)), ("leaves", Field::U64(left))],
-            );
-        }
+        record(&events);
         events
     }
 
-    /// Applies a churn *batch* to a flat [`NodeStore`] — the event-driven
-    /// entry point for million-node overlays. Where [`ChurnProcess::step`]
-    /// scans every node per tick (O(N), fine at 10³–10⁴), the event loop
-    /// pre-draws how many leave/join events are due and this method
-    /// applies exactly that many: cost is O(due events), never O(N).
+    /// Applies a churn *batch* of exactly `leaves` departures and `joins`
+    /// arrivals — the event-driven entry point for million-node
+    /// overlays. Where [`ChurnProcess::step`] scans every node per tick
+    /// (O(N), fine at 10³–10⁴), the event loop pre-draws how many leave
+    /// and join events are due and this method applies exactly that
+    /// many: cost is O(due events), never O(N).
     ///
-    /// Leaves pick uniform random live rows (respecting `min_nodes`);
-    /// joins recycle departed ids via the store's free list and attach
-    /// `attach_links` edges, preferentially by degree (random-neighbor
-    /// trick) or uniformly per the config. `join_value` draws the value
-    /// column entry for each joiner. Partition repair is intentionally
-    /// *not* run here: at 10⁶ nodes a per-batch BFS would dwarf the batch
-    /// itself, and the flat sim's walks restart from live origins, so
-    /// stray components only bias (never wedge) the estimate.
-    ///
-    /// Returns `(joined, left)` counts.
-    pub fn step_store<R: Rng + ?Sized>(
+    /// Leaves pick uniform random live nodes (respecting `min_nodes`);
+    /// joins attach `attach_links` edges each, preferentially by degree
+    /// or uniformly per the config, exactly as in [`ChurnProcess::step`].
+    /// Partition repair is intentionally *not* run here: at 10⁶ nodes a
+    /// per-batch BFS would dwarf the batch itself, and walks restart
+    /// from live origins, so stray components only bias (never wedge)
+    /// an estimate.
+    pub fn step_batch<R: Rng + ?Sized>(
         &self,
-        store: &mut NodeStore,
+        g: &mut Graph,
         leaves: usize,
         joins: usize,
-        mut join_value: impl FnMut(&mut R) -> f64,
         rng: &mut R,
-    ) -> (usize, usize) {
-        let cfg = &self.config;
-        let mut left = 0usize;
+    ) -> Vec<ChurnEvent> {
+        let mut events = Vec::with_capacity(leaves + joins);
         for _ in 0..leaves {
-            if store.live_count() <= cfg.min_nodes {
+            if g.node_count() <= self.config.min_nodes {
                 break;
             }
-            let Some(id) = store.random_live(rng) else {
+            let Ok(id) = g.random_node(rng) else {
                 break;
             };
-            let Some(r) = store.node_ref(id) else {
-                break;
-            };
-            if store.remove(r) {
-                left += 1;
+            if g.remove_node(id).is_ok() {
+                events.push(ChurnEvent::Left(id));
             }
         }
-        let mut joined = 0usize;
         for _ in 0..joins {
-            let value = join_value(rng);
-            let Ok(new) = store.add_node(value, 1.0) else {
-                break;
-            };
-            joined += 1;
-            let peers = store.live_count() - 1;
-            let links = cfg.attach_links.min(peers);
-            let mut attached = 0usize;
-            let mut attempts = 0usize;
-            while attached < links && attempts < 20 * links + 20 {
-                attempts += 1;
-                let Some(target) = self.pick_store_target(store, new.id(), rng) else {
-                    break;
-                };
-                if let Ok(true) = store.add_edge(new.id(), target) {
-                    attached += 1;
-                }
-            }
+            self.join(g, rng, &mut events);
         }
-        telemetry::NET_CHURN_JOINS.add(joined as u64);
-        telemetry::NET_CHURN_LEAVES.add(left as u64);
-        (joined, left)
+        record(&events);
+        events
     }
 
-    /// Store-side analogue of `pick_target`: uniform live row, or
-    /// degree-biased via one random-neighbor step.
-    fn pick_store_target<R: Rng + ?Sized>(
-        &self,
-        store: &NodeStore,
-        exclude: u32,
-        rng: &mut R,
-    ) -> Option<u32> {
-        for _ in 0..32 {
-            let v = store.random_live(rng)?;
-            if self.config.preferential {
-                let nbs = store.neighbors(v);
-                if !nbs.is_empty() {
-                    let t = nbs[rng.gen_range(0..nbs.len())];
-                    if t != exclude {
-                        return Some(t);
-                    }
-                    continue;
-                }
-            }
-            if v != exclude {
-                return Some(v);
+    /// Adds one node and attaches its links.
+    fn join<R: Rng + ?Sized>(&self, g: &mut Graph, rng: &mut R, events: &mut Vec<ChurnEvent>) {
+        let new = g.add_node();
+        events.push(ChurnEvent::Joined(new));
+        let links = self.config.attach_links.min(g.node_count() - 1);
+        let mut attached = 0usize;
+        let mut attempts = 0usize;
+        while attached < links && attempts < 20 * links + 20 {
+            attempts += 1;
+            let Some(target) = self.pick_target(g, new, rng) else {
+                break;
+            };
+            if let Ok(true) = g.add_edge(new, target) {
+                attached += 1;
             }
         }
-        None
     }
 
     /// Picks an attachment target: uniform, or degree-biased by choosing a
@@ -286,6 +222,24 @@ impl ChurnProcess {
             }
         }
         None
+    }
+}
+
+/// Counts a step's membership changes into the churn counters and
+/// emits its `net.churn` event.
+fn record(events: &[ChurnEvent]) {
+    let joined = events
+        .iter()
+        .filter(|e| matches!(e, ChurnEvent::Joined(_)))
+        .count() as u64;
+    let left = events.len() as u64 - joined;
+    telemetry::NET_CHURN_JOINS.add(joined);
+    telemetry::NET_CHURN_LEAVES.add(left);
+    if !events.is_empty() && digest_telemetry::events_enabled() {
+        digest_telemetry::emit(
+            "net.churn",
+            &[("joins", Field::U64(joined)), ("leaves", Field::U64(left))],
+        );
     }
 }
 
@@ -476,54 +430,37 @@ mod tests {
     }
 
     #[test]
-    fn store_churn_batch_applies_exact_counts_and_floor() {
-        let mut s = topology::barabasi_albert_store(200, 2, &mut rng(11)).unwrap();
+    fn batch_applies_exact_counts_and_floor() {
+        let mut g = topology::barabasi_albert(200, 2, &mut rng(11)).unwrap();
         let p = ChurnProcess::new(ChurnConfig {
-            leave_prob: 0.1,
-            join_rate: 1.0,
             attach_links: 2,
             min_nodes: 150,
             ..Default::default()
         })
         .unwrap();
         let mut r = rng(12);
-        let (joined, left) = p.step_store(&mut s, 30, 10, |_| 1.0, &mut r);
-        assert_eq!(joined, 10);
-        assert_eq!(left, 30);
-        assert_eq!(s.live_count(), 180);
+        let count = |events: &[ChurnEvent]| {
+            let joined = events
+                .iter()
+                .filter(|e| matches!(e, ChurnEvent::Joined(_)))
+                .count();
+            (joined, events.len() - joined)
+        };
+        let events = p.step_batch(&mut g, 30, 10, &mut r);
+        assert_eq!(count(&events), (10, 30));
+        assert_eq!(g.node_count(), 180);
         // Floor: asking for more leaves than the floor allows stops there.
-        let (_, left2) = p.step_store(&mut s, 10_000, 0, |_| 1.0, &mut r);
-        assert_eq!(s.live_count(), 150);
-        assert_eq!(left2, 30);
+        let events = p.step_batch(&mut g, 10_000, 0, &mut r);
+        assert_eq!(count(&events), (0, 30));
+        assert_eq!(g.node_count(), 150);
         // Joiners got links and the structure stays simple/symmetric.
-        for v in s.live_ids() {
-            for &nb in s.neighbors(v) {
-                assert!(s.is_live(nb));
-                assert!(s.neighbors(nb).contains(&v));
+        for v in g.nodes() {
+            for &nb in g.neighbors(v) {
+                assert!(g.contains(nb));
+                assert!(g.neighbors(nb).contains(&v));
                 assert_ne!(nb, v);
             }
         }
-    }
-
-    #[test]
-    fn store_churn_recycles_ids() {
-        let mut s = topology::barabasi_albert_store(50, 2, &mut rng(13)).unwrap();
-        let p = ChurnProcess::new(ChurnConfig {
-            min_nodes: 10,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut r = rng(14);
-        for _ in 0..40 {
-            p.step_store(&mut s, 5, 5, |_| 0.0, &mut r);
-        }
-        assert_eq!(s.live_count(), 50);
-        // 200 leaves + 200 joins later the id space is still ~dense.
-        assert!(
-            s.id_upper_bound() <= 60,
-            "free list must recycle ids, rows = {}",
-            s.id_upper_bound()
-        );
     }
 
     #[test]

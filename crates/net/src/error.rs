@@ -17,10 +17,10 @@ pub enum NetError {
     },
     /// The graph is empty where at least one node is required.
     EmptyGraph,
-    /// The flat node store's `u32` addressing space (ids or adjacency
-    /// arena offsets) would be exceeded by the operation.
+    /// The graph's `u32` addressing space (neighbor-arena offsets) would
+    /// be exceeded by the operation.
     CapacityExceeded,
-    /// A bulk CSR load was attempted on a store that already holds edges.
+    /// A bulk CSR load was attempted on a graph that already holds edges.
     NotEmpty,
 }
 
@@ -32,9 +32,9 @@ impl fmt::Display for NetError {
             NetError::InvalidTopology { reason } => write!(f, "invalid topology: {reason}"),
             NetError::EmptyGraph => write!(f, "operation requires a non-empty graph"),
             NetError::CapacityExceeded => {
-                write!(f, "flat node store u32 addressing space exhausted")
+                write!(f, "graph u32 addressing space exhausted")
             }
-            NetError::NotEmpty => write!(f, "bulk CSR load requires an edge-free store"),
+            NetError::NotEmpty => write!(f, "bulk CSR load requires an edge-free graph"),
         }
     }
 }

@@ -7,19 +7,19 @@
 //! rule of paper §IV-B2a).
 //!
 //! The adjacency representation is a flat structure-of-arrays arena: one
-//! shared neighbor pool plus per-node `(offset, len, cap)` rows. The
-//! sampling operator walks this arena directly and keeps only its M–H
-//! tables beside it, indexed by arena slot ([`Graph::arena_row`]).
-//! Compared with the old
-//! slot-vector-of-`Vec` layout this removes one heap allocation and one
-//! pointer indirection per node, which is what lets 10⁶-node overlays
-//! fit in cache-friendly memory. Rows grow by relocation to the arena
-//! tail with doubled capacity (amortized O(1) push); departed and
-//! relocated spans become garbage that a periodic compaction pass
-//! reclaims once it dominates the pool. Neighbor order is exactly the
-//! order the old representation produced (append on edge-add,
-//! swap-remove on edge-delete), so random-walk trajectories — and hence
-//! the deterministic replay gate — are unchanged by the refactor.
+//! shared neighbor pool plus per-node `u32` `(offset, len, cap)` rows.
+//! The sampling operator walks this arena directly and keeps only its
+//! M–H tables beside it, indexed by arena slot ([`Graph::arena_row`]).
+//! The whole graph is a handful of allocations regardless of N, which is
+//! what lets the same store carry both the paper-scale worlds and
+//! 10⁶-node overlays. Topology generators lay rows out back-to-back with
+//! `cap == len` through [`Graph::bulk_load_edges`]; incremental edge-adds
+//! grow a row by relocating it to the arena tail with doubled capacity
+//! (amortized O(1) push). Departed and relocated spans become garbage
+//! that a compaction pass reclaims once it dominates the pool, or when
+//! [`Graph::compact`] is called. Neighbor order is append order on
+//! edge-add and swap-remove on edge-delete, whichever way a row was
+//! built, so random-walk trajectories depend only on the edge sequence.
 //!
 //! The graph is simple (no self-loops, no parallel edges) and
 //! undirected: O(1) id lookup, O(deg) neighbor iteration, O(deg) edge
@@ -44,6 +44,14 @@ impl fmt::Display for NodeId {
 /// pools churns allocations for no measurable win).
 const COMPACT_MIN_POOL: usize = 1024;
 
+/// `live_pos` entry of a departed id.
+const DEPARTED: u32 = u32::MAX;
+
+/// Narrows an arena offset or length to the `u32` row columns.
+fn narrow(x: usize) -> Result<u32> {
+    u32::try_from(x).map_err(|_| NetError::CapacityExceeded)
+}
+
 /// An undirected simple graph over [`NodeId`]s.
 ///
 /// Every structural mutation (node join/leave, edge add/remove) bumps a
@@ -56,14 +64,12 @@ const COMPACT_MIN_POOL: usize = 1024;
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     /// Start of each ever-allocated id's neighbor row inside `pool`.
-    row_off: Vec<usize>,
+    row_off: Vec<u32>,
     /// Live neighbor count of each row.
-    row_len: Vec<usize>,
+    row_len: Vec<u32>,
     /// Allocated span of each row (`len ≤ cap`); slots past `len` are
     /// headroom left by swap-removals or doubling growth.
-    row_cap: Vec<usize>,
-    /// Liveness flag per ever-allocated id (`false` = departed).
-    alive: Vec<bool>,
+    row_cap: Vec<u32>,
     /// Shared neighbor arena; live rows occupy disjoint spans.
     pool: Vec<NodeId>,
     /// Arena slots unreachable from any live row (relocated or departed
@@ -71,8 +77,9 @@ pub struct Graph {
     pool_garbage: usize,
     /// Ids of live nodes, kept dense for O(1) uniform choice.
     live: Vec<NodeId>,
-    /// Position of each live id inside `live` (usize::MAX = not live).
-    live_pos: Vec<usize>,
+    /// Position of each ever-allocated id inside `live`, or
+    /// [`DEPARTED`]; doubles as the liveness flag.
+    live_pos: Vec<u32>,
     edge_count: usize,
     /// Monotonic mutation counter; bumped by every structural change.
     epoch: u64,
@@ -85,15 +92,15 @@ impl Graph {
         Self::default()
     }
 
-    /// Creates an empty graph with room for `n` nodes.
+    /// Creates an empty graph with exact room for `n` nodes' per-id
+    /// columns (the neighbor arena grows with the edges).
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {
         Self {
             row_off: Vec::with_capacity(n),
             row_len: Vec::with_capacity(n),
             row_cap: Vec::with_capacity(n),
-            alive: Vec::with_capacity(n),
-            pool: Vec::with_capacity(n.saturating_mul(4)),
+            pool: Vec::new(),
             pool_garbage: 0,
             live: Vec::with_capacity(n),
             live_pos: Vec::with_capacity(n),
@@ -120,40 +127,44 @@ impl Graph {
     /// The neighbor row of `i` as an arena span (valid for live rows).
     #[inline]
     fn row(&self, i: usize) -> &[NodeId] {
-        &self.pool[self.row_off[i]..self.row_off[i] + self.row_len[i]]
+        let off = self.row_off[i] as usize;
+        &self.pool[off..off + self.row_len[i] as usize]
     }
 
     /// Appends `nb` to `id`'s row, relocating the row to the arena tail
     /// with doubled capacity when full. Amortized O(1).
-    fn push_neighbor(&mut self, id: NodeId, nb: NodeId) {
+    fn push_neighbor(&mut self, id: NodeId, nb: NodeId) -> Result<()> {
         let i = id.0 as usize;
-        let len = self.row_len[i];
-        if len == self.row_cap[i] {
-            let new_cap = (self.row_cap[i] * 2).max(4);
-            let old_off = self.row_off[i];
+        let len = self.row_len[i] as usize;
+        let cap = self.row_cap[i] as usize;
+        if len == cap {
+            let new_cap = (cap * 2).max(4);
+            let old_off = self.row_off[i] as usize;
             let new_off = self.pool.len();
+            narrow(new_off + new_cap)?;
             self.pool.resize(new_off + new_cap, NodeId(u32::MAX));
             self.pool.copy_within(old_off..old_off + len, new_off);
-            self.pool_garbage += self.row_cap[i];
-            self.row_off[i] = new_off;
-            self.row_cap[i] = new_cap;
+            self.pool_garbage += cap;
+            self.row_off[i] = narrow(new_off)?;
+            self.row_cap[i] = narrow(new_cap)?;
         }
-        let off = self.row_off[i];
+        let off = self.row_off[i] as usize;
         self.pool[off + len] = nb;
-        self.row_len[i] = len + 1;
+        self.row_len[i] += 1;
         self.maybe_compact();
+        Ok(())
     }
 
     /// Swap-removes `nb` from `id`'s row; returns whether it was present.
     fn remove_neighbor(&mut self, id: NodeId, nb: NodeId) -> bool {
         let i = id.0 as usize;
-        let off = self.row_off[i];
-        let len = self.row_len[i];
+        let off = self.row_off[i] as usize;
+        let len = self.row_len[i] as usize;
         let row = &mut self.pool[off..off + len];
         match row.iter().position(|&x| x == nb) {
             Some(pos) => {
                 row.swap(pos, len - 1);
-                self.row_len[i] = len - 1;
+                self.row_len[i] -= 1;
                 true
             }
             None => false,
@@ -171,22 +182,101 @@ impl Graph {
     /// reclaiming every garbage span. O(pool). Neighbor order within
     /// each row is preserved, so derived views and walks are unaffected.
     fn compact_pool(&mut self) {
-        let mut new_pool = Vec::with_capacity(self.pool.len() - self.pool_garbage);
+        let mut new_pool = Vec::with_capacity(2 * self.edge_count);
         for i in 0..self.row_off.len() {
-            if !self.alive[i] {
-                self.row_off[i] = 0;
-                self.row_len[i] = 0;
-                self.row_cap[i] = 0;
-                continue;
-            }
-            let off = self.row_off[i];
-            let len = self.row_len[i];
-            self.row_off[i] = new_pool.len();
-            self.row_cap[i] = len;
+            let off = self.row_off[i] as usize;
+            let len = self.row_len[i] as usize;
+            // Empty rows (departed ones included) read as `(0, 0, 0)`;
+            // other offsets stay below the current pool length, which
+            // already fits a u32.
+            self.row_off[i] = if len == 0 {
+                0
+            } else {
+                u32::try_from(new_pool.len()).unwrap_or(u32::MAX)
+            };
+            self.row_cap[i] = self.row_len[i];
             new_pool.extend_from_slice(&self.pool[off..off + len]);
         }
         self.pool = new_pool;
         self.pool_garbage = 0;
+    }
+
+    /// Reclaims every garbage span of the arena and releases the slack
+    /// capacity of the per-id columns and the live list, so
+    /// [`Graph::heap_bytes`] measures the steady-state layout rather than
+    /// growth headroom. Ids, neighbor order and liveness are unchanged;
+    /// arena slots move, so the epoch is bumped.
+    pub fn compact(&mut self) {
+        self.compact_pool();
+        self.row_off.shrink_to_fit();
+        self.row_len.shrink_to_fit();
+        self.row_cap.shrink_to_fit();
+        self.live_pos.shrink_to_fit();
+        self.live.shrink_to_fit();
+        self.bump_epoch();
+    }
+
+    /// Lays out an exact CSR (`cap == len`, rows back-to-back in id
+    /// order) from an edge list over the live nodes of an edgeless
+    /// graph: O(V + E), zero arena slack, one pool allocation. Each
+    /// row lists its neighbors in edge-list order — exactly the rows an
+    /// [`Graph::add_edge`] loop over the same list would produce — and
+    /// the epoch is bumped once.
+    ///
+    /// The caller must supply a *simple* edge list (no duplicates); they
+    /// are not re-checked, to keep the load O(V + E).
+    ///
+    /// # Errors
+    ///
+    /// * [`NetError::NotEmpty`] if the graph already holds edges.
+    /// * [`NetError::SelfLoop`] / [`NetError::UnknownNode`] on a bad edge.
+    /// * [`NetError::CapacityExceeded`] if the arena outgrows u32 offsets.
+    pub fn bulk_load_edges(&mut self, edges: &[(NodeId, NodeId)]) -> Result<()> {
+        if self.edge_count != 0 {
+            return Err(NetError::NotEmpty);
+        }
+        for &(a, b) in edges {
+            if a == b {
+                return Err(NetError::SelfLoop(a));
+            }
+            if !self.contains(a) {
+                return Err(NetError::UnknownNode(a));
+            }
+            if !self.contains(b) {
+                return Err(NetError::UnknownNode(b));
+            }
+        }
+        narrow(edges.len().saturating_mul(2))?;
+        // Degrees, then prefix-sum offsets with cap == len.
+        self.row_cap.iter_mut().for_each(|c| *c = 0);
+        for &(a, b) in edges {
+            self.row_cap[a.0 as usize] += 1;
+            self.row_cap[b.0 as usize] += 1;
+        }
+        let mut off = 0u32;
+        for (row_off, (row_len, &cap)) in self
+            .row_off
+            .iter_mut()
+            .zip(self.row_len.iter_mut().zip(&self.row_cap))
+        {
+            *row_off = if cap == 0 { 0 } else { off };
+            *row_len = 0;
+            off += cap;
+        }
+        // Fill in edge order.
+        let mut pool = vec![NodeId(u32::MAX); 2 * edges.len()];
+        for &(a, b) in edges {
+            for (v, nb) in [(a, b), (b, a)] {
+                let i = v.0 as usize;
+                pool[(self.row_off[i] + self.row_len[i]) as usize] = nb;
+                self.row_len[i] += 1;
+            }
+        }
+        self.pool = pool;
+        self.pool_garbage = 0;
+        self.edge_count = edges.len();
+        self.bump_epoch();
+        Ok(())
     }
 
     /// Adds a new node and returns its id. Ids are never reused.
@@ -195,8 +285,8 @@ impl Graph {
         self.row_off.push(0);
         self.row_len.push(0);
         self.row_cap.push(0);
-        self.alive.push(true);
-        self.live_pos.push(self.live.len());
+        self.live_pos
+            .push(u32::try_from(self.live.len()).unwrap_or(DEPARTED));
         self.live.push(id);
         self.bump_epoch();
         id
@@ -213,8 +303,17 @@ impl Graph {
         }
         let i = id.0 as usize;
         let neighbors: Vec<NodeId> = self.row(i).to_vec();
-        self.alive[i] = false;
-        self.pool_garbage += self.row_cap[i];
+        // Remove from the dense live list by swap-remove. The list is
+        // non-empty here (the node being removed is in it).
+        let pos = self.live_pos[i];
+        self.live_pos[i] = DEPARTED;
+        if let Some(last) = self.live.pop() {
+            if last != id {
+                self.live[pos as usize] = last;
+                self.live_pos[last.0 as usize] = pos;
+            }
+        }
+        self.pool_garbage += self.row_cap[i] as usize;
         self.row_off[i] = 0;
         self.row_len[i] = 0;
         self.row_cap[i] = 0;
@@ -225,16 +324,6 @@ impl Graph {
                 self.remove_neighbor(nb, id);
             }
         }
-        // Remove from the dense live list by swap-remove. The list is
-        // non-empty here (the node we just marked dead was in it).
-        let pos = self.live_pos[i];
-        self.live_pos[i] = usize::MAX;
-        if let Some(last) = self.live.pop() {
-            if last != id {
-                self.live[pos] = last;
-                self.live_pos[last.0 as usize] = pos;
-            }
-        }
         self.maybe_compact();
         Ok(())
     }
@@ -242,7 +331,9 @@ impl Graph {
     /// Whether `id` refers to a live node.
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.alive.get(id.0 as usize).copied().unwrap_or(false)
+        self.live_pos
+            .get(id.0 as usize)
+            .is_some_and(|&pos| pos != DEPARTED)
     }
 
     /// Adds the undirected edge `{a, b}`. Adding an existing edge is a
@@ -252,6 +343,7 @@ impl Graph {
     ///
     /// * [`NetError::SelfLoop`] if `a == b`.
     /// * [`NetError::UnknownNode`] if either endpoint is not live.
+    /// * [`NetError::CapacityExceeded`] if the arena outgrows u32 offsets.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool> {
         if a == b {
             return Err(NetError::SelfLoop(a));
@@ -265,8 +357,8 @@ impl Graph {
         if self.neighbors(a).contains(&b) {
             return Ok(false);
         }
-        self.push_neighbor(a, b);
-        self.push_neighbor(b, a);
+        self.push_neighbor(a, b)?;
+        self.push_neighbor(b, a)?;
         self.edge_count += 1;
         self.bump_epoch();
         Ok(true)
@@ -322,7 +414,10 @@ impl Graph {
         // needed: they read as `(0, &[])` like unknown ids.
         let i = id.0 as usize;
         match (self.row_off.get(i), self.row_len.get(i)) {
-            (Some(&off), Some(&len)) => (off, self.pool.get(off..off + len).unwrap_or(&[])),
+            (Some(&off), Some(&len)) => {
+                let (off, len) = (off as usize, len as usize);
+                (off, self.pool.get(off..off + len).unwrap_or(&[]))
+            }
             _ => (0, &[]),
         }
     }
@@ -331,7 +426,7 @@ impl Graph {
     #[must_use]
     pub fn degree(&self, id: NodeId) -> usize {
         if self.contains(id) {
-            self.row_len[id.0 as usize]
+            self.row_len[id.0 as usize] as usize
         } else {
             0
         }
@@ -483,16 +578,18 @@ impl Graph {
         self.row_off.len()
     }
 
-    /// Heap bytes held by the adjacency arena and its per-row tables
-    /// (excluding the live-list bookkeeping). Exposed so
-    /// benchmarks can track resident bytes/node across representations.
+    /// Heap bytes held by the graph: the capacity of every column (the
+    /// neighbor arena, the per-id row and live-position columns, and the
+    /// live list), slack included. Benchmarks divide it by the live node
+    /// count for resident bytes/node.
     #[must_use]
-    pub fn adjacency_bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<NodeId>()
-            + self.row_off.capacity() * std::mem::size_of::<usize>()
-            + self.row_len.capacity() * std::mem::size_of::<usize>()
-            + self.row_cap.capacity() * std::mem::size_of::<usize>()
-            + self.alive.capacity() * std::mem::size_of::<bool>()
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pool.capacity() * size_of::<NodeId>()
+            + (self.row_off.capacity() + self.row_len.capacity() + self.row_cap.capacity())
+                * size_of::<u32>()
+            + self.live_pos.capacity() * size_of::<u32>()
+            + self.live.capacity() * size_of::<NodeId>()
     }
 }
 
@@ -750,6 +847,71 @@ mod tests {
         // Handshake lemma still holds.
         let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
         assert_eq!(degree_sum, 2 * g.edge_count());
+    }
+
+    #[test]
+    fn bulk_load_matches_add_edge_and_validates() {
+        let edges = [(0u32, 1u32), (1, 2), (2, 0), (0, 3)].map(|(a, b)| (NodeId(a), NodeId(b)));
+        let mut bulk = Graph::with_capacity(5);
+        let mut inc = Graph::new();
+        for _ in 0..5 {
+            bulk.add_node();
+            inc.add_node();
+        }
+        bulk.bulk_load_edges(&edges).unwrap();
+        for &(a, b) in &edges {
+            inc.add_edge(a, b).unwrap();
+        }
+        for v in inc.nodes() {
+            assert_eq!(bulk.neighbors(v), inc.neighbors(v), "row {v}");
+        }
+        assert_eq!(bulk.edge_count(), inc.edge_count());
+        // Exact CSR: no slack, isolated rows read as empty.
+        assert_eq!(bulk.pool.len(), 2 * edges.len());
+        assert_eq!(bulk.arena_row(NodeId(4)), (0, &[][..]));
+        assert_eq!(
+            bulk.bulk_load_edges(&edges).unwrap_err(),
+            NetError::NotEmpty
+        );
+        let mut g = Graph::new();
+        let a = g.add_node();
+        assert_eq!(
+            g.bulk_load_edges(&[(a, a)]).unwrap_err(),
+            NetError::SelfLoop(a)
+        );
+        assert_eq!(
+            g.bulk_load_edges(&[(a, NodeId(9))]).unwrap_err(),
+            NetError::UnknownNode(NodeId(9))
+        );
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_column_and_compact_releases_slack() {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..100).map(|_| g.add_node()).collect();
+        for w in ids.windows(2) {
+            g.add_edge(w[0], w[1]).unwrap();
+        }
+        for &v in ids.iter().step_by(3) {
+            g.remove_node(v).unwrap();
+        }
+        let exact = |g: &Graph| {
+            // Three row columns plus live_pos per ever-allocated id, one
+            // live-list entry per live node, one arena slot per endpoint.
+            16 * g.id_upper_bound() + 4 * g.node_count() + 4 * 2 * g.edge_count()
+        };
+        assert!(g.heap_bytes() > exact(&g), "growth slack is counted");
+        let epoch = g.epoch();
+        g.compact();
+        assert_eq!(g.heap_bytes(), exact(&g));
+        assert!(g.epoch() > epoch, "slots moved");
+        assert_eq!(g.node_count(), 66);
+        let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
+        assert_eq!(degree_sum, 2 * g.edge_count());
+        // The compacted graph keeps growing normally.
+        let v = g.add_node();
+        g.add_edge(v, ids[1]).unwrap();
+        assert!(g.has_edge(ids[1], v));
     }
 
     #[test]

@@ -6,18 +6,17 @@
 //! arbitrary, dynamically changing topology (§II). This crate provides:
 //!
 //! * [`graph`] — the overlay graph itself: stable node identities across
-//!   joins/leaves, adjacency queries, connectivity analysis.
+//!   joins/leaves, a flat `u32` CSR neighbor arena with bulk loading and
+//!   compaction, adjacency queries, connectivity analysis. One store
+//!   carries both the paper-scale worlds and 10⁶-node overlays.
 //! * [`topology`] — seeded generators for the topologies the paper's
 //!   evaluation uses (mesh for the weather-station network, power-law /
 //!   Barabási–Albert for the SETI@home-like computing network) plus
 //!   Erdős–Rényi, ring, Watts–Strogatz, complete, and star graphs for
 //!   tests and ablations.
-//! * [`store`] — the flat structure-of-arrays node store for
-//!   million-node overlays: u32 ids with free-list recycling behind
-//!   generation-tagged handles, CSR adjacency in one shared arena, SoA
-//!   value/weight/liveness columns, and a dirty-row change journal.
 //! * [`churn`] — the node join/leave process that drives the dynamic
-//!   membership of `V` (and hence of the stored relation).
+//!   membership of `V` (and hence of the stored relation), per tick or
+//!   as an O(batch) event batch.
 //! * [`metrics`] — degree distributions, power-law exponent estimation,
 //!   clustering, and diameter estimates used to validate generated
 //!   topologies against the paper's assumptions (`p_k ∝ k^−α`, 2 < α < 3).
@@ -30,14 +29,12 @@ pub mod churn;
 pub mod error;
 pub mod graph;
 pub mod metrics;
-pub mod store;
 pub mod topology;
 
 pub use churn::{ChurnConfig, ChurnEvent, ChurnProcess};
 pub use error::NetError;
 pub use graph::{Graph, NodeId};
 pub use metrics::{degree_distribution, estimate_power_law_alpha, DegreeStats};
-pub use store::{NodeRef, NodeStore};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NetError>;

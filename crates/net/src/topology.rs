@@ -11,7 +11,6 @@
 
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
-use crate::store::NodeStore;
 use crate::Result;
 use rand::Rng;
 
@@ -113,11 +112,15 @@ pub fn star(n: usize) -> Result<Graph> {
 /// exponent `α ≈ 3` — the paper's generic P2P topology model.
 ///
 /// Starts from a clique of `m0 = m + 1` seed nodes, so the result is
-/// always connected.
+/// always connected. Edges are accumulated into one list and
+/// bulk-loaded as an exact CSR ([`Graph::bulk_load_edges`]): O(V + E)
+/// with zero arena slack, and the same rows, in the same order, as
+/// adding each edge as it is drawn.
 ///
 /// # Errors
 ///
-/// [`NetError::InvalidTopology`] if `m == 0` or `n ≤ m`.
+/// [`NetError::InvalidTopology`] if `m == 0` or `n ≤ m`;
+/// [`NetError::CapacityExceeded`] if the arena outgrows u32 offsets.
 pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Result<Graph> {
     if m == 0 {
         return Err(NetError::InvalidTopology {
@@ -131,26 +134,26 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Resu
         });
     }
 
+    let edge_total = m0 * (m0 - 1) / 2 + (n - m0) * m;
     let mut g = Graph::with_capacity(n);
-    let mut ids: Vec<NodeId> = (0..m0).map(|_| g.add_node()).collect();
+    let ids: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(edge_total);
     for i in 0..m0 {
         for j in i + 1..m0 {
-            g.add_edge(ids[i], ids[j])?;
+            edges.push((ids[i], ids[j]));
         }
     }
 
     // `targets` holds one entry per edge endpoint: sampling it uniformly
-    // is sampling nodes proportional to degree.
-    let mut targets: Vec<NodeId> = Vec::with_capacity(2 * m * n);
-    for &id in &ids {
-        for _ in 0..g.degree(id) {
-            targets.push(id);
-        }
+    // is sampling nodes proportional to degree. The clique block is laid
+    // out id-major.
+    let mut targets: Vec<NodeId> = Vec::with_capacity(2 * edge_total);
+    for &id in &ids[..m0] {
+        targets.extend(std::iter::repeat_n(id, m0 - 1));
     }
-
-    while ids.len() < n {
-        let new = g.add_node();
-        let mut chosen = Vec::with_capacity(m);
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(m);
+    for &new in &ids[m0..] {
+        chosen.clear();
         while chosen.len() < m {
             let candidate = targets[rng.gen_range(0..targets.len())];
             if candidate != new && !chosen.contains(&candidate) {
@@ -158,86 +161,13 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Resu
             }
         }
         for &c in &chosen {
-            g.add_edge(new, c)?;
+            edges.push((new, c));
             targets.push(new);
             targets.push(c);
         }
-        ids.push(new);
     }
+    g.bulk_load_edges(&edges)?;
     Ok(g)
-}
-
-/// Barabási–Albert preferential attachment straight into a flat
-/// [`NodeStore`] — the million-node path. Attachment logic matches
-/// [`barabasi_albert`] (seed clique of `m0 = m + 1`, degree-proportional
-/// `targets` sampling), but edges are accumulated into one edge list and
-/// bulk-loaded as an exact CSR: O(V + E) with zero arena slack, instead
-/// of 10⁶ incremental row relocations. Node values/weights start at
-/// `0.0`/`1.0`; callers initialise the value column afterwards.
-///
-/// # Errors
-///
-/// [`NetError::InvalidTopology`] if `m == 0` or `n ≤ m`;
-/// [`NetError::CapacityExceeded`] if `n` outgrows u32 ids.
-pub fn barabasi_albert_store<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<NodeStore> {
-    if m == 0 {
-        return Err(NetError::InvalidTopology {
-            reason: "BA attachment count m must be positive",
-        });
-    }
-    let m0 = m + 1;
-    if n < m0 {
-        return Err(NetError::InvalidTopology {
-            reason: "BA requires n > m",
-        });
-    }
-    let edge_total = m0 * (m0 - 1) / 2 + (n - m0) * m;
-    let mut store = NodeStore::with_capacity(n, edge_total);
-    let mut refs = Vec::with_capacity(n);
-    for _ in 0..n {
-        refs.push(store.add_node(0.0, 1.0)?);
-    }
-
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(edge_total);
-    // Seed clique over the first m0 ids.
-    for i in 0..m0 {
-        for j in i + 1..m0 {
-            edges.push((refs[i].id(), refs[j].id()));
-        }
-    }
-    // `targets` holds one entry per edge endpoint: sampling it uniformly
-    // is sampling nodes proportional to degree. The clique block is laid
-    // out id-major — the same order the Graph generator produces — so
-    // both generators consume the RNG stream identically and one seed
-    // yields one topology regardless of representation.
-    let mut targets: Vec<u32> = Vec::with_capacity(2 * edge_total);
-    for r in refs.iter().take(m0) {
-        for _ in 0..(m0 - 1) {
-            targets.push(r.id());
-        }
-    }
-    let mut chosen: Vec<u32> = Vec::with_capacity(m);
-    for arrival in refs.iter().skip(m0) {
-        let new_id = arrival.id();
-        chosen.clear();
-        while chosen.len() < m {
-            let candidate = targets[rng.gen_range(0..targets.len())];
-            if candidate != new_id && !chosen.contains(&candidate) {
-                chosen.push(candidate);
-            }
-        }
-        for &c in &chosen {
-            edges.push((new_id, c));
-            targets.push(new_id);
-            targets.push(c);
-        }
-    }
-    store.bulk_load_edges(&edges)?;
-    Ok(store)
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity: edges are sampled
@@ -357,7 +287,7 @@ fn stitch_connected<R: Rng + ?Sized>(g: &mut Graph, rng: &mut R) -> Result<()> {
 mod tests {
     use super::*;
     use crate::metrics::{degree_distribution, estimate_power_law_alpha};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -443,28 +373,63 @@ mod tests {
         assert!(barabasi_albert(3, 3, &mut rng(3)).is_err());
     }
 
-    #[test]
-    fn barabasi_albert_store_matches_edge_budget() {
-        let s = barabasi_albert_store(500, 3, &mut rng(1)).unwrap();
-        assert_eq!(s.live_count(), 500);
-        let expected = 6 + (500 - 4) * 3;
-        assert_eq!(s.edge_count(), expected);
-        // Minimum degree is m; bulk CSR is exact (no slack).
-        assert!(s.live_ids().all(|v| s.degree(v) >= 3));
-        // Same attachment process ⇒ same degree sequence as the Graph
-        // generator under the same seed.
-        let g = barabasi_albert(500, 3, &mut rng(1)).unwrap();
-        let mut dg: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
-        let mut ds: Vec<usize> = s.live_ids().map(|v| s.degree(v)).collect();
-        dg.sort_unstable();
-        ds.sort_unstable();
-        assert_eq!(dg, ds);
+    /// The pre-bulk-load generator: the same attachment process, adding
+    /// each edge to the graph as it is drawn.
+    fn barabasi_albert_incremental(n: usize, m: usize, rng: &mut ChaCha8Rng) -> Graph {
+        let m0 = m + 1;
+        let mut g = Graph::new();
+        let mut ids: Vec<NodeId> = (0..m0).map(|_| g.add_node()).collect();
+        for i in 0..m0 {
+            for j in i + 1..m0 {
+                g.add_edge(ids[i], ids[j]).unwrap();
+            }
+        }
+        let mut targets: Vec<NodeId> = Vec::new();
+        for &id in &ids {
+            for _ in 0..g.degree(id) {
+                targets.push(id);
+            }
+        }
+        while ids.len() < n {
+            let new = g.add_node();
+            let mut chosen = Vec::with_capacity(m);
+            while chosen.len() < m {
+                let candidate = targets[rng.gen_range(0..targets.len())];
+                if candidate != new && !chosen.contains(&candidate) {
+                    chosen.push(candidate);
+                }
+            }
+            for &c in &chosen {
+                g.add_edge(new, c).unwrap();
+                targets.push(new);
+                targets.push(c);
+            }
+            ids.push(new);
+        }
+        g
     }
 
     #[test]
-    fn barabasi_albert_store_rejects_bad_params() {
-        assert!(barabasi_albert_store(10, 0, &mut rng(3)).is_err());
-        assert!(barabasi_albert_store(3, 3, &mut rng(3)).is_err());
+    fn bulk_loaded_barabasi_albert_rows_equal_an_add_edge_loop() {
+        // Every BA world's bytes rest on this: the bulk loader must lay
+        // out exactly the rows, in exactly the order, that adding each
+        // edge as it is drawn produces, and consume the same RNG stream.
+        for (n, m, seed) in [(5, 1, 1), (60, 2, 7), (500, 3, 20_080_402), (2_000, 2, 42)] {
+            let mut bulk_rng = rng(seed);
+            let mut inc_rng = rng(seed);
+            let bulk = barabasi_albert(n, m, &mut bulk_rng).unwrap();
+            let inc = barabasi_albert_incremental(n, m, &mut inc_rng);
+            assert_eq!(bulk.id_upper_bound(), inc.id_upper_bound());
+            assert_eq!(bulk.edge_count(), inc.edge_count());
+            assert_eq!(
+                bulk.nodes().collect::<Vec<_>>(),
+                inc.nodes().collect::<Vec<_>>()
+            );
+            for v in inc.nodes() {
+                assert_eq!(bulk.neighbors(v), inc.neighbors(v), "n={n} row {v}");
+            }
+            assert_eq!(bulk_rng.next_u64(), inc_rng.next_u64(), "RNG stream drift");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_net::{topology, ChurnConfig, ChurnProcess, Graph, NodeId, NodeRef, NodeStore};
+use digest_net::{topology, ChurnConfig, ChurnProcess, Graph, NodeId};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -118,61 +118,16 @@ proptest! {
     }
 
     #[test]
-    fn store_recycling_never_aliases_a_live_node(
-        seed in 0u64..1000,
-        rounds in 1usize..40,
-    ) {
-        // Free-list id recycling is only sound if a handle captured
-        // before a departure can never resolve to the row's *next*
-        // incarnation. Drive arbitrary churn, holding every handle ever
-        // issued, and check each one resolves iff its own incarnation is
-        // the live one.
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut s = NodeStore::new();
-        let mut issued: Vec<NodeRef> = Vec::new();
-        let mut live: Vec<NodeRef> = Vec::new();
-        use rand::Rng;
-        for _ in 0..8 {
-            let r = s.add_node(0.0, 1.0).unwrap();
-            issued.push(r);
-            live.push(r);
-        }
-        for _ in 0..rounds {
-            // Drop a random live node, then add a node (likely recycling
-            // the id just freed).
-            if live.len() > 2 {
-                let victim = live.remove(rng.gen_range(0..live.len()));
-                prop_assert!(s.remove(victim));
-                prop_assert_eq!(s.resolve(victim), None);
-            }
-            let fresh = s.add_node(1.0, 1.0).unwrap();
-            issued.push(fresh);
-            live.push(fresh);
-            // Every stale handle must stay dead even when its id is live
-            // again under a new generation.
-            let live_set: BTreeSet<NodeRef> = live.iter().copied().collect();
-            for &h in &issued {
-                let resolves = s.resolve(h).is_some();
-                prop_assert_eq!(
-                    resolves,
-                    live_set.contains(&h),
-                    "handle {:?} aliasing: resolves={} live={}",
-                    h, resolves, live_set.contains(&h)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn store_csr_matches_btreemap_reference_after_churn_burst(
+    fn csr_matches_btreemap_reference_after_churn_burst(
         seed in 0u64..1000,
         bursts in 1usize..6,
     ) {
-        // The flat CSR arena (relocations, swap-removes, compaction,
-        // recycled rows) must agree with a naive BTreeMap adjacency
-        // model on degrees and neighbor *sets* after arbitrary churn.
+        // The flat CSR arena (bulk-loaded rows, relocations,
+        // swap-removes, compaction) must agree with a naive BTreeMap
+        // adjacency model on degrees and neighbor *sets* after arbitrary
+        // churn, and compaction must leave every row exactly as it was.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut s = topology::barabasi_albert_store(60, 2, &mut rng).unwrap();
+        let mut g = topology::barabasi_albert(60, 2, &mut rng).unwrap();
         let churn = ChurnProcess::new(ChurnConfig {
             attach_links: 2,
             min_nodes: 10,
@@ -182,51 +137,58 @@ proptest! {
         use rand::Rng;
         for _ in 0..bursts {
             // Mirror a leave/join burst through both representations by
-            // replaying the store's own structural outcome into the model.
+            // replaying the graph's own structural outcome into the model.
             let leaves = rng.gen_range(0..20);
             let joins = rng.gen_range(0..20);
-            churn.step_store(&mut s, leaves, joins, |_| 0.0, &mut rng);
-            let mut model: BTreeMap<u32, BTreeSet<u32>> = s
-                .live_ids()
-                .map(|v| (v, s.neighbors(v).iter().copied().collect()))
+            churn.step_batch(&mut g, leaves, joins, &mut rng);
+            let mut model: BTreeMap<NodeId, BTreeSet<NodeId>> = g
+                .nodes()
+                .map(|v| (v, g.neighbors(v).iter().copied().collect()))
                 .collect();
             // Interleave direct edge toggles, applied to BOTH structures
             // independently — this is where divergence would show.
-            let ids: Vec<u32> = s.live_ids().collect();
+            let ids: Vec<NodeId> = g.nodes().collect();
             for _ in 0..40 {
                 let a = ids[rng.gen_range(0..ids.len())];
                 let b = ids[rng.gen_range(0..ids.len())];
-                if a == b || !s.is_live(a) || !s.is_live(b) {
+                if a == b {
                     continue;
                 }
-                if s.has_edge(a, b) {
-                    prop_assert!(s.remove_edge(a, b).unwrap());
+                if g.has_edge(a, b) {
+                    prop_assert!(g.remove_edge(a, b).unwrap());
                     model.get_mut(&a).unwrap().remove(&b);
                     model.get_mut(&b).unwrap().remove(&a);
                 } else {
-                    prop_assert!(s.add_edge(a, b).unwrap());
+                    prop_assert!(g.add_edge(a, b).unwrap());
                     model.get_mut(&a).unwrap().insert(b);
                     model.get_mut(&b).unwrap().insert(a);
                 }
             }
-            // Compare: same live rows, same degrees, same neighbor sets.
-            let live: Vec<u32> = s.live_ids().collect();
+            // Compare: same live nodes, same degrees, same neighbor sets.
+            let live: Vec<NodeId> = g.nodes().collect();
             prop_assert_eq!(live.len(), model.len());
             let mut edge_total = 0usize;
-            for v in live {
+            for &v in &live {
                 let reference = &model[&v];
-                prop_assert_eq!(s.degree(v), reference.len(), "degree of {}", v);
-                let actual: BTreeSet<u32> = s.neighbors(v).iter().copied().collect();
-                prop_assert_eq!(
-                    actual.len(),
-                    s.degree(v),
-                    "parallel edge in row {}",
-                    v
-                );
+                prop_assert_eq!(g.degree(v), reference.len(), "degree of {}", v);
+                let actual: BTreeSet<NodeId> = g.neighbors(v).iter().copied().collect();
+                prop_assert_eq!(actual.len(), g.degree(v), "parallel edge in row {}", v);
                 prop_assert_eq!(&actual, reference, "neighbor set of {}", v);
                 edge_total += reference.len();
             }
-            prop_assert_eq!(edge_total, 2 * s.edge_count());
+            prop_assert_eq!(edge_total, 2 * g.edge_count());
+            // Forced compaction: rows keep their exact order, the arena
+            // holds no garbage, and the bytes only shrink.
+            let rows: Vec<Vec<NodeId>> = live.iter().map(|&v| g.neighbors(v).to_vec()).collect();
+            let before = g.heap_bytes();
+            g.compact();
+            prop_assert!(g.heap_bytes() <= before);
+            for (&v, row) in live.iter().zip(&rows) {
+                prop_assert_eq!(g.neighbors(v), &row[..], "row {} after compaction", v);
+                let (start, slots) = g.arena_row(v);
+                prop_assert_eq!(slots, &row[..]);
+                prop_assert!(start + slots.len() <= 2 * g.edge_count());
+            }
         }
     }
 

@@ -26,9 +26,9 @@ use crate::Result;
 pub(crate) struct WalkArena {
     /// Per-slot work orders, fully written before workers start.
     pub(crate) tasks: Vec<SlotTask>,
-    /// Slot-indexed reassembly table the workers fill lock-free (each
-    /// cell written by exactly one worker via `publish_slot`; always
-    /// returned to the arena all-empty, capacity intact).
+    /// Slot-indexed reassembly table the workers fill lock-free through
+    /// `claim::fill_table` (each cell written by exactly one worker;
+    /// always returned to the arena all-empty, capacity intact).
     pub(crate) results: Vec<OnceLock<Result<SlotOutcome>>>,
     /// Slot-ordered outcomes of the last successful batch; drained by
     /// the operator.

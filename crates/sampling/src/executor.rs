@@ -2,8 +2,7 @@
 //!
 //! The paper's batch mode invokes `S` n times *simultaneously* (§VI-A);
 //! this module is that simultaneity made real on threads without giving
-//! up replayability. The design mirrors the replication harness in
-//! `digest-sim::parallel`:
+//! up replayability:
 //!
 //! * **Counter-derived RNG streams.** The caller draws exactly one
 //!   `u64` occasion seed from its own RNG; every walk slot then owns an
@@ -13,16 +12,12 @@
 //!   — **byte-identical for any worker count, including 1**. The
 //!   sequential case is literally `workers == 1` running the same drain
 //!   loop inline, not a separate code path.
-//! * **Index stealing + slot-order reassembly, lock-free.** Workers
-//!   claim slot indices from an atomic cursor ([`claim_slot`]) and
-//!   publish results into a slot-indexed table of `OnceLock` cells
-//!   ([`publish_slot`]) — each cell is written by exactly one worker, so
-//!   the substrate holds no lock anywhere (R6). After the scope joins,
-//!   cells are drained in slot order, so thread scheduling can influence
-//!   neither the output order nor which error surfaces first. The
-//!   claim/publish protocol is model-checked against the vendored loom
-//!   stand-in under `RUSTFLAGS="--cfg loom"` (see [`crate::sync`] and
-//!   DESIGN.md §13).
+//! * **Index stealing + slot-order reassembly, lock-free.** Slots run
+//!   through the workspace's one claim/publish protocol
+//!   ([`crate::claim::fill_table`]), publishing into the arena's
+//!   slot-indexed table of `OnceLock` cells; after it returns, cells are
+//!   drained in slot order, so thread scheduling can influence neither
+//!   the output order nor which error surfaces first.
 //! * **M–H tables over the graph's own arena.** The operator refreshes
 //!   an [`OccasionSnapshot`] through its
 //!   [`crate::snapshot::SnapshotCache`] (reuse or rebuild, see that
@@ -45,11 +40,11 @@
 //! empty, and the operator's pool and accounting are untouched.
 
 use crate::arena::WalkArena;
+use crate::claim::{fill_table, OnceLock};
 use crate::error::SamplingError;
 use crate::metropolis::MetropolisWalk;
 use crate::operator::{SampleCost, SamplingConfig};
 use crate::snapshot::{OccasionSnapshot, ACCEPT_ALWAYS};
-use crate::sync::{AtomicUsize, OnceLock, Ordering};
 use crate::Result;
 use digest_db::{P2PDatabase, Tuple, TupleHandle};
 use digest_net::{Graph, NodeId};
@@ -66,28 +61,6 @@ const TUPLE_RETRY_LIMIT: usize = 64;
 /// xtask: no-alloc
 pub(crate) fn walk_stream_seed(occasion_seed: u64, slot: usize) -> u64 {
     splitmix64(occasion_seed.wrapping_add((slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-}
-
-/// Claims the next unprocessed slot index from the batch cursor, or
-/// `None` once the batch is drained. Lock-free index stealing: each
-/// index in `0..limit` is handed to exactly one caller because
-/// `fetch_add` is atomic.
-/// xtask: no-alloc
-pub(crate) fn claim_slot(cursor: &AtomicUsize, limit: usize) -> Option<usize> {
-    // relaxed-ok: claim uniqueness needs only the atomicity of fetch_add;
-    // slot results are published through `OnceLock::set` and the scope
-    // join, so no ordering rides on this counter.
-    let index = cursor.fetch_add(1, Ordering::Relaxed);
-    (index < limit).then_some(index)
-}
-
-/// Publishes one slot's result into its reassembly cell. Returns `false`
-/// when the cell was already filled — impossible while [`claim_slot`]
-/// hands out each index once (model-checked under `--cfg loom`), and
-/// surfaced as a batch error rather than a panic if the protocol is ever
-/// broken.
-pub(crate) fn publish_slot<T>(cell: &OnceLock<T>, value: T) -> bool {
-    cell.set(value).is_ok()
 }
 
 /// Local (lock-free) telemetry tallies of one walk slot, flushed into
@@ -420,36 +393,16 @@ pub(crate) fn run_tuple_batch(
     let mut results = std::mem::take(&mut arena.results);
     results.clear();
     results.resize_with(request.n, OnceLock::new);
-    let tasks = &arena.tasks;
-    let next = AtomicUsize::new(0);
-    let table = &results;
-    let drain = || {
-        while let Some(index) = claim_slot(&next, tasks.len()) {
-            let Some(task) = tasks.get(index) else {
-                return;
-            };
-            let outcome = run_slot(task, g, snapshot, db, config.reset_length);
-            // Always true: `claim_slot` hands each index to one worker.
-            let _ = publish_slot(&table[index], outcome);
-        }
-    };
-
     {
         // Workers could interleave events nondeterministically; run them
         // suppressed and emit deterministic rollups post-join. The guard
         // also covers the inline (single-worker) path so the emitted
         // stream is identical for every worker count.
         let _quiet = digest_telemetry::suppress_events();
-        let workers = config.workers.max(1).min(request.n.max(1));
-        if workers <= 1 {
-            drain();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(drain);
-                }
-            });
-        }
+        let tasks = &arena.tasks;
+        fill_table(&results, config.workers, |slot| {
+            run_slot(&tasks[slot], g, snapshot, db, config.reset_length)
+        });
     }
 
     // Lowest-slot problem wins; the table returns to the arena all-empty
@@ -509,83 +462,6 @@ pub(crate) fn run_tuple_batch(
     Ok(())
 }
 
-#[cfg(all(test, loom))]
-#[allow(clippy::unwrap_used)]
-mod loom_tests {
-    use super::{claim_slot, publish_slot};
-    use crate::sync::{AtomicUsize, OnceLock};
-    use loom::sync::Arc;
-    use loom::thread;
-
-    /// Exhaustively interleaves two workers draining a three-slot batch
-    /// through the production `claim_slot` / `publish_slot` protocol:
-    /// under every schedule each slot is claimed exactly once, every
-    /// publish lands in a previously-empty cell, and after the join the
-    /// table holds each slot's result exactly once.
-    #[test]
-    fn loom_claim_publish_fills_every_slot_exactly_once() {
-        loom::model(|| {
-            const SLOTS: usize = 3;
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let table: Arc<Vec<OnceLock<usize>>> =
-                Arc::new((0..SLOTS).map(|_| OnceLock::new()).collect());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let table = Arc::clone(&table);
-                    thread::spawn(move || {
-                        while let Some(index) = claim_slot(&cursor, SLOTS) {
-                            assert!(
-                                publish_slot(&table[index], index * 10),
-                                "slot {index} was claimed twice"
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut table = Arc::try_unwrap(table).ok().unwrap();
-            for (index, cell) in table.iter_mut().enumerate() {
-                assert_eq!(cell.take(), Some(index * 10), "slot {index} missing");
-            }
-        });
-    }
-
-    /// A cursor overshooting the slot count (more workers than work)
-    /// never yields an in-range index twice and never blocks: late
-    /// claimers see `None` and exit.
-    #[test]
-    fn loom_overshooting_claims_return_none() {
-        loom::model(|| {
-            let cursor = Arc::new(AtomicUsize::new(0));
-            let claimed = Arc::new(OnceLock::new());
-
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let cursor = Arc::clone(&cursor);
-                    let claimed = Arc::clone(&claimed);
-                    thread::spawn(move || match claim_slot(&cursor, 1) {
-                        Some(index) => {
-                            assert!(claimed.set(index).is_ok(), "single slot claimed twice");
-                        }
-                        None => {}
-                    })
-                })
-                .collect();
-            for handle in handles {
-                handle.join().unwrap();
-            }
-
-            let mut claimed = Arc::try_unwrap(claimed).ok().unwrap();
-            assert_eq!(claimed.take(), Some(0));
-        });
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 #[allow(
     clippy::unwrap_used,
@@ -642,10 +518,10 @@ mod tests {
     /// except in compaction, which reallocates it to the live entries.
     fn apply(g: &mut Graph, weights: &mut Vec<f64>, op: u8, rng: &mut ChaCha8Rng) -> bool {
         let mut compacted = false;
-        let mut bytes = g.adjacency_bytes();
+        let mut bytes = g.heap_bytes();
         let mut track = |g: &Graph| {
-            compacted |= g.adjacency_bytes() < bytes;
-            bytes = g.adjacency_bytes();
+            compacted |= g.heap_bytes() < bytes;
+            bytes = g.heap_bytes();
         };
         match op {
             // Join: a new node wired to a few live ones.

@@ -32,6 +32,9 @@
 //! * [`mixing`] — exact mixing analysis on small graphs: transition
 //!   matrices, `π_t = π_0 Pᵗ`, TVD curves, measured mixing time `τ(γ)`,
 //!   spectral-gap estimation (Theorem 3's `θ_P = 1 − |λ₂|`).
+//! * [`claim`] — the one lock-free, loom-checked claim/publish protocol
+//!   behind every deterministic parallel loop: the walk batch here, and
+//!   the replication runner and million-node simulation in `digest-sim`.
 //! * [`baselines`] — the oracle (centralised) sampler that bounds the best
 //!   possible cost, and the naive uniform-forwarding walk whose stationary
 //!   distribution is degree-biased (what Digest's Metropolis rule fixes).
@@ -44,6 +47,7 @@
 
 mod arena;
 pub mod baselines;
+pub mod claim;
 pub mod error;
 mod executor;
 pub mod metropolis;

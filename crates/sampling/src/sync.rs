@@ -1,18 +1,17 @@
-//! Sync primitives for the parallel walk executor, swappable for the
+//! Sync primitives for the claim/publish protocol, swappable for the
 //! vendored loom model checker under `RUSTFLAGS="--cfg loom"` (see
 //! DESIGN.md §13).
 //!
-//! The executor's claim/publish/reassembly protocol (`claim_slot` /
-//! `publish_slot` in [`crate::executor`]) is written against these
-//! aliases, so the very functions the production batch path runs are the
-//! ones the loom tests exhaustively interleave.
+//! [`crate::claim`] is written against these aliases, so the very
+//! functions every production parallel loop runs are the ones the loom
+//! tests exhaustively interleave.
 
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(not(loom))]
-pub(crate) use std::sync::OnceLock;
+pub use std::sync::OnceLock;
 
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{AtomicUsize, Ordering};
 #[cfg(loom)]
-pub(crate) use loom::sync::OnceLock;
+pub use loom::sync::OnceLock;

@@ -1,17 +1,19 @@
-//! Sharded deterministic simulation over the flat [`NodeStore`].
+//! Sharded deterministic simulation of a million-node overlay.
 //!
-//! The paper's experiments stop at thousands of peers; this module is
-//! the substrate for *million-node* overlays. It deliberately bypasses
-//! the `Workload`/`QuerySystem` object graph and runs directly on the
-//! structure-of-arrays [`NodeStore`]: a Barabási–Albert overlay built
-//! once via the bulk CSR loader, churn applied as O(batch) events, and
-//! continuous-query occasions answered by Metropolis–Hastings sampling
-//! walks. Time is driven by the calendar [`EventQueue`], so a horizon
-//! of a million ticks with sparse churn/query schedules costs only the
-//! due ticks.
+//! The paper's experiments stop at thousands of peers; this module runs
+//! the same overlay store, [`Graph`], at 10⁶ nodes. It deliberately
+//! bypasses the `Workload`/`QuerySystem` object graph: a
+//! Barabási–Albert overlay is built once through the bulk CSR loader,
+//! node values live in one `Vec<f64>` indexed by node id, churn is
+//! applied as O(batch) events ([`ChurnProcess::step_batch`]), and
+//! continuous-query occasions are answered by the sampling operator's
+//! own Metropolis–Hastings walk ([`MetropolisWalk`] under
+//! [`uniform_weight`]: lazy, counting accepted moves as messages). Time
+//! is driven by the calendar [`EventQueue`], so a horizon of a million
+//! ticks with sparse churn/query schedules costs only the due ticks.
 //!
 //! Determinism follows the executor discipline of
-//! `digest-sampling::executor` and [`crate::parallel`]:
+//! `digest-sampling::executor`:
 //!
 //! * **Counter-split RNG streams.** The control stream draws one `u64`
 //!   occasion seed per occasion; each logical *shard* then owns an
@@ -19,19 +21,19 @@
 //!   `(occasion_seed, shard)`. The shard count is part of the
 //!   configuration — not derived from the machine — so the sampled
 //!   panel is a pure function of the config and seed.
-//! * **Lock-free claim/publish.** Workers claim shard indices from an
-//!   atomic cursor and publish partial sums into a shard-indexed table
-//!   of `OnceLock` cells, drained in shard order after the scope
-//!   joins. Worker counts {1, k} therefore produce **byte-identical**
-//!   reports (floating-point merge order is fixed by shard index).
+//! * **Lock-free claim/publish.** Shards run through the workspace's
+//!   one claim/publish protocol ([`fill_table`]) and are merged in shard
+//!   order, so worker counts {1, k} produce **byte-identical** reports
+//!   (floating-point merge order is fixed by shard index).
 //! * **Single-threaded mutation.** Churn and value updates run on the
 //!   control thread between occasions; workers only ever read the
-//!   store.
+//!   graph and the value column.
 
 use crate::events::EventQueue;
-use crate::sync::{AtomicU64, OnceLock, Ordering};
 use digest_core::{CoreError, Result};
-use digest_net::{topology, ChurnConfig, ChurnProcess, NodeStore};
+use digest_net::{topology, ChurnConfig, ChurnEvent, ChurnProcess, Graph, NodeId};
+use digest_sampling::claim::{fill_table, OnceLock};
+use digest_sampling::{uniform_weight, MetropolisWalk};
 use digest_stats::splitmix64;
 use digest_telemetry::registry as telemetry;
 use rand::{Rng, RngCore, SeedableRng};
@@ -42,7 +44,7 @@ fn shard_stream_seed(occasion_seed: u64, shard: usize) -> u64 {
     splitmix64(occasion_seed.wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Configuration of a flat-store simulation run.
+/// Configuration of a flat simulation run.
 #[derive(Debug, Clone, Copy)]
 pub struct FlatSimConfig {
     /// Overlay size (Barabási–Albert node count).
@@ -115,7 +117,7 @@ impl FlatSimConfig {
     }
 }
 
-/// What a flat-store run measured.
+/// What a flat run measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatReport {
     /// Configured horizon.
@@ -134,141 +136,69 @@ pub struct FlatReport {
     pub leaves: u64,
     /// Sampling walks executed.
     pub walks: u64,
-    /// Node-to-node messages spent (walk hops).
+    /// Node-to-node messages spent (accepted walk moves).
     pub messages: u64,
     /// Per-occasion `(tick, AVG estimate)` pairs, in tick order.
     pub estimates: Vec<(u64, f64)>,
     /// Live overlay size at the end of the run.
     pub live_nodes: usize,
-    /// Resident bytes of the node store + adjacency at the end.
+    /// Resident bytes of the compacted graph ([`Graph::heap_bytes`]) plus
+    /// the value column at the end.
     pub store_bytes: usize,
     /// `store_bytes / live_nodes`.
     pub bytes_per_node: f64,
 }
 
 /// One shard's contribution to an occasion, merged in shard order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ShardOut {
     sum: f64,
     walks: u64,
     hops: u64,
 }
 
-/// One Metropolis–Hastings walk over the store: uniform proposal over
-/// the current node's neighbors, accepted with probability
-/// `min(1, deg(cur)/deg(cand))`, giving a uniform stationary
-/// distribution over live nodes. Returns the end node's value and the
-/// hop (message) count.
-fn mh_walk(store: &NodeStore, start: u32, len: usize, rng: &mut ChaCha8Rng) -> (f64, u64) {
-    let mut cur = start;
-    let mut hops = 0u64;
-    for _ in 0..len {
-        let nbs = store.neighbors(cur);
-        if nbs.is_empty() {
-            break;
-        }
-        let cand = nbs[rng.gen_range(0..nbs.len())];
-        hops += 1;
-        let d_cur = nbs.len();
-        let d_cand = store.degree(cand);
-        // Accept with prob deg(cur)/deg(cand); the uniform draw is only
-        // consumed when the ratio is < 1, which is deterministic given
-        // the stream position.
-        if d_cand <= d_cur || rng.gen_range(0.0f64..1.0) * (d_cand as f64) < d_cur as f64 {
-            cur = cand;
-        }
-    }
-    (store.value(cur).unwrap_or(0.0), hops)
-}
-
-/// Claims the next unprocessed shard index, or `None` once the occasion
-/// is drained. Same lock-free index stealing as the replication runner.
-fn claim_shard(cursor: &AtomicU64, shards: usize) -> Option<usize> {
-    // relaxed-ok: claim uniqueness needs only the atomicity of fetch_add;
-    // shard results are published through `OnceLock::set` and the scope
-    // join, so no ordering rides on this counter.
-    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-    usize::try_from(shard).ok().filter(|&s| s < shards)
-}
-
-/// Answers one occasion: `walks` MH walks from `origin`, sharded over
+/// Answers one occasion: `walks` M–H walks from `origin`, sharded over
 /// `shards` fixed RNG streams and executed by up to `workers` threads,
 /// merged in shard order.
 fn run_occasion(
-    store: &NodeStore,
-    origin: u32,
+    g: &Graph,
+    values: &[f64],
+    origin: NodeId,
     occasion_seed: u64,
     config: &FlatSimConfig,
 ) -> Result<ShardOut> {
     let shards = config.shards;
-    let workers = config.workers.max(1).min(shards);
-    let cursor = AtomicU64::new(0);
-    let mut cells: Vec<OnceLock<ShardOut>> = (0..shards).map(|_| OnceLock::new()).collect();
-    let table = &cells;
-
-    let run_shard = |shard: usize| -> ShardOut {
+    let mut cells: Vec<OnceLock<digest_sampling::Result<ShardOut>>> =
+        (0..shards).map(|_| OnceLock::new()).collect();
+    fill_table(&cells, config.workers, |shard| {
         let mut rng = ChaCha8Rng::seed_from_u64(shard_stream_seed(occasion_seed, shard));
-        let lo = shard * config.walks / shards;
-        let hi = (shard + 1) * config.walks / shards;
-        let mut out = ShardOut {
-            sum: 0.0,
-            walks: 0,
-            hops: 0,
-        };
-        for _ in lo..hi {
-            let (value, hops) = mh_walk(store, origin, config.walk_length, &mut rng);
-            out.sum += value;
+        let weight = uniform_weight();
+        let mut out = ShardOut::default();
+        for _ in shard * config.walks / shards..(shard + 1) * config.walks / shards {
+            let mut walk = MetropolisWalk::new(g, origin)?;
+            walk.run(g, &weight, config.walk_length as u64, &mut rng)?;
+            out.sum += values[walk.current().0 as usize];
             out.walks += 1;
-            out.hops += hops;
+            out.hops += walk.messages();
         }
-        out
-    };
-
-    if workers == 1 {
-        // The sequential case is the same drain loop run inline.
-        while let Some(shard) = claim_shard(&cursor, shards) {
-            let _ = table[shard].set(run_shard(shard));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while let Some(shard) = claim_shard(&cursor, shards) {
-                        // Each shard is claimed exactly once, so the
-                        // cell is always empty (model-checked protocol,
-                        // see `crate::parallel`).
-                        let _ = table[shard].set(run_shard(shard));
-                    }
-                });
-            }
-        });
-    }
+        Ok(out)
+    });
 
     // Merge in shard order: the floating-point sum order is fixed by
     // shard index, independent of which worker ran which shard.
-    let mut merged = ShardOut {
-        sum: 0.0,
-        walks: 0,
-        hops: 0,
-    };
+    let mut merged = ShardOut::default();
     for cell in cells.iter_mut() {
-        match cell.take() {
-            Some(out) => {
-                merged.sum += out.sum;
-                merged.walks += out.walks;
-                merged.hops += out.hops;
-            }
-            None => {
-                return Err(CoreError::InvalidConfig {
-                    reason: "flat shard worker exited without publishing a result",
-                })
-            }
-        }
+        let out = cell.take().ok_or(CoreError::InvalidConfig {
+            reason: "flat shard worker exited without publishing a result",
+        })??;
+        merged.sum += out.sum;
+        merged.walks += out.walks;
+        merged.hops += out.hops;
     }
     Ok(merged)
 }
 
-/// Runs a flat-store simulation: build the BA overlay once, then drive
+/// Runs a flat simulation: build the BA overlay once, then drive
 /// churn batches and query occasions through the calendar event queue.
 ///
 /// Byte-identical for any `workers >= 1` (the test suite pins workers
@@ -279,7 +209,9 @@ fn run_occasion(
 ///
 /// [`CoreError::InvalidConfig`] on invalid parameters, or if the
 /// claim/publish protocol is ever broken (unreachable by construction);
-/// [`CoreError::EmptyWorkload`] if churn drains the overlay.
+/// [`CoreError::EmptyWorkload`] if churn drains the overlay;
+/// [`CoreError::Sampling`] if a walk fails (unreachable: walks start at
+/// a live origin under uniform weights).
 pub fn run_flat(config: &FlatSimConfig) -> Result<FlatReport> {
     config.validate()?;
 
@@ -292,14 +224,15 @@ pub fn run_flat(config: &FlatSimConfig) -> Result<FlatReport> {
     let mut churn_rng = ChaCha8Rng::seed_from_u64(splitmix64(config.seed.wrapping_add(3)));
     let mut control_rng = ChaCha8Rng::seed_from_u64(splitmix64(config.seed.wrapping_add(4)));
 
-    let mut store = topology::barabasi_albert_store(config.nodes, config.attach, &mut topo_rng)
-        .map_err(|_| CoreError::InvalidConfig {
-            reason: "flat sim overlay parameters rejected by the BA generator",
+    let mut g =
+        topology::barabasi_albert(config.nodes, config.attach, &mut topo_rng).map_err(|_| {
+            CoreError::InvalidConfig {
+                reason: "flat sim overlay parameters rejected by the BA generator",
+            }
         })?;
-    let ids: Vec<u32> = store.live_ids().collect();
-    for id in ids {
-        store.set_value(id, value_rng.gen_range(0.0..100.0));
-    }
+    let mut values: Vec<f64> = (0..g.id_upper_bound())
+        .map(|_| value_rng.gen_range(0.0..100.0))
+        .collect();
 
     let churn = ChurnProcess::new(ChurnConfig {
         attach_links: config.attach,
@@ -350,15 +283,23 @@ pub fn run_flat(config: &FlatSimConfig) -> Result<FlatReport> {
         // sees the post-churn overlay, matching the dense runner's
         // advance-then-react order.
         if next_churn == Some(tick) {
-            let (left, joined) = churn.step_store(
-                &mut store,
+            let events = churn.step_batch(
+                &mut g,
                 config.churn_leaves,
                 config.churn_joins,
-                |r| r.gen_range(0.0..100.0),
                 &mut churn_rng,
             );
-            report.leaves += left as u64;
-            report.joins += joined as u64;
+            // Ids are never reused: joiners extend the value column.
+            values.resize(g.id_upper_bound(), 0.0);
+            for event in events {
+                match event {
+                    ChurnEvent::Joined(id) => {
+                        values[id.0 as usize] = churn_rng.gen_range(0.0..100.0);
+                        report.joins += 1;
+                    }
+                    ChurnEvent::Left(_) => report.leaves += 1,
+                }
+            }
             report.churn_batches += 1;
             report.events_executed += 1;
             let due = tick + config.churn_interval;
@@ -369,11 +310,11 @@ pub fn run_flat(config: &FlatSimConfig) -> Result<FlatReport> {
         }
 
         if tick == next_occasion {
-            let origin = store
-                .random_live(&mut control_rng)
-                .ok_or(CoreError::EmptyWorkload)?;
+            let origin = g
+                .random_node(&mut control_rng)
+                .map_err(|_| CoreError::EmptyWorkload)?;
             let occasion_seed = control_rng.next_u64();
-            let merged = run_occasion(&store, origin, occasion_seed, config)?;
+            let merged = run_occasion(&g, &values, origin, occasion_seed, config)?;
             let estimate = if merged.walks > 0 {
                 merged.sum / merged.walks as f64
             } else {
@@ -394,10 +335,11 @@ pub fn run_flat(config: &FlatSimConfig) -> Result<FlatReport> {
     // Steady-state footprint: reclaim churn garbage and slack capacity
     // before measuring, so the bytes/node gate reflects the compacted
     // layout a long-running overlay maintains, not transient build slack.
-    store.compact();
-    report.live_nodes = store.live_count();
-    report.store_bytes = store.bytes();
-    report.bytes_per_node = store.bytes_per_node();
+    g.compact();
+    values.shrink_to_fit();
+    report.live_nodes = g.node_count();
+    report.store_bytes = g.heap_bytes() + values.capacity() * std::mem::size_of::<f64>();
+    report.bytes_per_node = report.store_bytes as f64 / report.live_nodes.max(1) as f64;
     Ok(report)
 }
 
@@ -477,7 +419,8 @@ mod tests {
         let config = FlatSimConfig {
             churn_interval: 0,
             walks: 256,
-            walk_length: 40,
+            // The M–H walk is lazy: 80 steps make ~40 proposals.
+            walk_length: 80,
             ..small(2)
         };
         let report = run_flat(&config).unwrap();

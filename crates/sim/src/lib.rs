@@ -17,9 +17,10 @@
 //! For million-node overlays, [`runner::run_events`] swaps the dense tick
 //! loop for a calendar [`events::EventQueue`] (cost ∝ due ticks, not the
 //! horizon), and [`flat::run_flat`] runs a sharded deterministic
-//! simulation directly over the flat [`digest_net::NodeStore`] —
-//! per-shard counter-split RNG streams, lock-free claim/publish, ordered
-//! merge — so worker counts {1, k} produce byte-identical reports.
+//! simulation of a 10⁶-node [`digest_net::Graph`] with the sampling
+//! operator's own M–H walk — per-shard counter-split RNG streams, the
+//! shared lock-free claim/publish protocol, ordered merge — so worker
+//! counts {1, k} produce byte-identical reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +30,6 @@ pub mod events;
 pub mod flat;
 pub mod parallel;
 pub mod runner;
-mod sync;
 pub mod trace;
 
 pub use events::EventQueue;
