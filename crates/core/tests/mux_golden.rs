@@ -11,6 +11,14 @@
 //!   logs each member's per-tick decision (snapshot or hold, shared round
 //!   id, samples, messages, estimate). This pins the end-to-end scheduler
 //!   × sizing × panel-sharing pipeline bit-for-bit.
+//! * **mux mix** — the same over a drifting world with every member kind
+//!   the mux serves: `AVG`, `SUM`, `COUNT(*) WHERE`, `MEDIAN`, `p90`, and
+//!   an `AVG WHERE` whose predicate matches nothing on part of the run,
+//!   so the hold path is pinned alongside the report path.
+//! * **engine** — drives standalone [`DigestEngine`]s (PRED3+RPT,
+//!   ALL+INDEP, MEDIAN's QUANTILE estimator, a sketch sweep, and SUM /
+//!   COUNT across several relation-size refreshes) over the drifting
+//!   world, logging each tick's outcome and the engine's `N̂`.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -24,8 +32,11 @@
     clippy::cast_possible_truncation
 )]
 
-use digest_core::{ContinuousQuery, MuxConfig, Precision, QueryMux, RoundPlanner, TickContext};
-use digest_db::{Expr, P2PDatabase, Schema, Tuple};
+use digest_core::{
+    ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision, QueryMux,
+    QuerySystem, RoundPlanner, SchedulerKind, TickContext, TickOutcome,
+};
+use digest_db::{Expr, P2PDatabase, Schema, Tuple, TupleHandle};
 use digest_net::{topology, Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -127,6 +138,197 @@ fn replay_mux(out: &mut String) {
     writeln!(out, "end mux").unwrap();
 }
 
+/// The fixed world of [`world`], plus the handles and base values that
+/// let [`DriftingWorld::drift_to`] move every tuple by a common offset.
+struct DriftingWorld {
+    graph: Graph,
+    db: P2PDatabase,
+    tuples: Vec<(TupleHandle, f64)>,
+}
+
+impl DriftingWorld {
+    fn new(seed: u64) -> Self {
+        let graph = topology::complete(8).unwrap();
+        let mut db = P2PDatabase::new(Schema::single("a"));
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut tuples = Vec::new();
+        for v in 0..8 {
+            db.register_node(NodeId(v));
+            for _ in 0..25 {
+                let value = 50.0 + rng.gen_range(-8.0..8.0);
+                tuples.push((db.insert(NodeId(v), Tuple::single(value)).unwrap(), value));
+            }
+        }
+        Self { graph, db, tuples }
+    }
+
+    /// Sets every tuple to its base value plus a slow triangle-wave
+    /// offset in `[-6, 12]`, starting at the crest: tuples above 62 exist
+    /// only near it, so `a > 62` matches on the first ticks, then nothing
+    /// for a stretch, then matches again.
+    fn drift_to(&mut self, tick: u64) {
+        let phase = ((tick + 12) % 24) as f64;
+        let offset = if phase < 12.0 {
+            -6.0 + 1.5 * phase
+        } else {
+            12.0 - 1.5 * (phase - 12.0)
+        };
+        for &(h, base) in &self.tuples {
+            self.db.update(h, &[base + offset]).unwrap();
+        }
+    }
+
+    fn ctx(&self, tick: u64) -> TickContext<'_> {
+        TickContext {
+            tick,
+            graph: &self.graph,
+            db: &self.db,
+            origin: NodeId(0),
+        }
+    }
+}
+
+fn statement(text: &str) -> ContinuousQuery {
+    ContinuousQuery::parse(text, &Schema::single("a")).unwrap()
+}
+
+fn log_outcome(out: &mut String, prefix: &str, o: &TickOutcome) {
+    writeln!(
+        out,
+        "{prefix} snap={} upd={} samples={} fresh={} messages={} est={:.6}",
+        u8::from(o.snapshot_executed),
+        u8::from(o.updated),
+        o.samples_this_tick,
+        o.fresh_samples_this_tick,
+        o.messages_this_tick,
+        o.estimate,
+    )
+    .unwrap();
+}
+
+/// Every shared-mode member kind over the drifting world: panel members
+/// (`AVG`, `SUM`, `COUNT(*) WHERE`, a transiently empty `AVG WHERE`) and
+/// sweep members (`MEDIAN`, `p90`, a transiently empty `p90 WHERE`) in
+/// one mux.
+fn replay_mux_mix(out: &mut String) {
+    writeln!(out, "mux mix sharing=on horizon=2 piggyback=on").unwrap();
+    let mut world = DriftingWorld::new(43);
+    let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
+    for text in [
+        "SELECT AVG(a) FROM R WITH delta=2, epsilon=1, p=0.95",
+        "SELECT SUM(a) FROM R WITH delta=800, epsilon=400, p=0.9",
+        "SELECT COUNT(*) FROM R WHERE a > 52 WITH delta=40, epsilon=20, p=0.9",
+        "SELECT MEDIAN(a) FROM R WITH delta=2, epsilon=1, p=0.95",
+        "SELECT PERCENTILE(a, 0.9) FROM R WITH delta=2, epsilon=1, p=0.95",
+        "SELECT AVG(a) FROM R WHERE a > 62 WITH delta=2, epsilon=1, p=0.9",
+        "SELECT PERCENTILE(a, 0.9) FROM R WHERE a > 62 WITH delta=2, epsilon=1, p=0.95",
+    ] {
+        mux.register(statement(text)).unwrap();
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let mut round_base: Option<u64> = None;
+    for tick in 0..48 {
+        world.drift_to(tick);
+        let outcomes = mux.on_tick_mux(&world.ctx(tick), &mut rng).unwrap();
+        for o in &outcomes {
+            let round = o.round.map(|r| {
+                let base = *round_base.get_or_insert(r);
+                r - base
+            });
+            let prefix = format!(
+                "  t={tick:>3} q={} round={}",
+                o.query,
+                round.map_or_else(|| "-".to_owned(), |r| r.to_string()),
+            );
+            log_outcome(out, &prefix, &o.outcome);
+        }
+    }
+    for id in mux.query_ids() {
+        let t = mux.query_totals(id).unwrap();
+        writeln!(
+            out,
+            "  totals q={id} snapshots={} samples={} messages={}",
+            t.snapshots, t.samples, t.messages
+        )
+        .unwrap();
+    }
+    writeln!(out, "end mux mix").unwrap();
+}
+
+/// Standalone engines over the drifting world, one per configuration
+/// the engine serves differently.
+fn replay_engines(out: &mut String) {
+    let runs: [(&str, SchedulerKind, EstimatorKind); 7] = [
+        (
+            "SELECT AVG(a) FROM R WITH delta=2, epsilon=1, p=0.95",
+            SchedulerKind::Pred(3),
+            EstimatorKind::Repeated,
+        ),
+        (
+            "SELECT AVG(a) FROM R WHERE a > 62 WITH delta=2, epsilon=1, p=0.9",
+            SchedulerKind::All,
+            EstimatorKind::Independent,
+        ),
+        (
+            "SELECT MEDIAN(a) FROM R WITH delta=2, epsilon=1, p=0.95",
+            SchedulerKind::Pred(3),
+            EstimatorKind::Repeated,
+        ),
+        (
+            "SELECT PERCENTILE(a, 0.9) FROM R WHERE a > 62 WITH delta=2, epsilon=1, p=0.95",
+            SchedulerKind::Pred(2),
+            EstimatorKind::Repeated,
+        ),
+        (
+            "SELECT SUM(a) FROM R WITH delta=800, epsilon=400, p=0.9",
+            SchedulerKind::All,
+            EstimatorKind::Independent,
+        ),
+        (
+            "SELECT COUNT(*) FROM R WHERE a > 46 WITH delta=40, epsilon=20, p=0.9",
+            SchedulerKind::All,
+            EstimatorKind::Repeated,
+        ),
+        (
+            "SELECT SUM(a) FROM R WHERE a > 46 WITH delta=400, epsilon=200, p=0.9",
+            SchedulerKind::Pred(3),
+            EstimatorKind::Repeated,
+        ),
+    ];
+    for (i, (text, scheduler, estimator)) in runs.into_iter().enumerate() {
+        let mut world = DriftingWorld::new(44);
+        let mut engine = DigestEngine::new(
+            statement(text),
+            EngineConfig {
+                scheduler,
+                estimator,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        writeln!(out, "engine {} {}", engine.name(), engine.query()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(9 + i as u64);
+        for tick in 0..36 {
+            world.drift_to(tick);
+            let o = engine.on_tick(&world.ctx(tick), &mut rng).unwrap();
+            let size = engine
+                .size_estimate()
+                .map_or_else(|| "-".to_owned(), |n| format!("{n:.3}"));
+            log_outcome(out, &format!("  t={tick:>3} n={size}"), &o);
+        }
+        writeln!(
+            out,
+            "  totals snapshots={} samples={} messages={} next_due={:?}",
+            engine.total_snapshots(),
+            engine.total_samples(),
+            engine.total_messages(),
+            engine.next_due(36),
+        )
+        .unwrap();
+    }
+    writeln!(out, "end engine").unwrap();
+}
+
 fn decision_trace() -> String {
     let mut out = String::new();
     out.push_str("mux golden decision trace v1\n");
@@ -140,6 +342,8 @@ fn decision_trace() -> String {
     // when deadlines actually land within the horizon.
     replay_planner(3, &[1, 9], 30, &mut out);
     replay_mux(&mut out);
+    replay_mux_mix(&mut out);
+    replay_engines(&mut out);
     out
 }
 
