@@ -13,13 +13,13 @@
 //! price of the unstructured setting, where nobody knows `N`.
 
 use crate::indep::IndependentEstimator;
+use crate::member::{Member, SizeTracker};
 use crate::query::{AggregateOp, ContinuousQuery};
 use crate::rpt::{RepeatedEstimator, RptConfig};
-use crate::scheduler::{AllScheduler, PredScheduler, SnapshotScheduler};
 use crate::system::{QuerySystem, TickContext, TickOutcome};
 use crate::Result;
-use digest_sampling::{uniform_weight, SamplingConfig, SamplingOperator, SizeEstimator};
-use digest_telemetry::{registry as telemetry, Field, Stage};
+use digest_sampling::{SamplingConfig, SamplingOperator};
+use digest_telemetry::{registry as telemetry, Stage};
 use rand::RngCore;
 
 /// Which continual-querying policy to run (paper §IV-A).
@@ -85,44 +85,20 @@ enum EstimatorImpl {
 /// The Digest query engine for one continuous query (paper §III,
 /// Figure 2: scheduler + estimator + sampling operator on one node).
 pub struct DigestEngine {
-    query: ContinuousQuery,
+    member: Member,
     config: EngineConfig,
     name: String,
-    scheduler: Box<dyn SnapshotScheduler + Send>,
     estimator: EstimatorImpl,
     operator: SamplingOperator,
-    /// Dedicated uniform-weight operator for size estimation, so the main
-    /// operator's persistent content-weighted walk is not disturbed.
-    size_operator: SamplingOperator,
-
-    started: bool,
-    next_snapshot_tick: u64,
-    /// Causal trace id of the current reporting occasion (0 before the
-    /// first snapshot). Allocated from the deterministic global counter
-    /// at each occasion start so every telemetry event downstream of the
-    /// scheduler decision carries the same id.
-    trace: u64,
-    current_estimate: f64,
-    last_reported: f64,
-    size_estimate: Option<f64>,
-    snapshots_since_size_refresh: u64,
-    /// Exponentially decayed (qualifying, drawn) fresh-sample counts for a
-    /// stable selectivity estimate across occasions — one occasion's few
-    /// fresh draws are far too noisy to scale COUNT/SUM by.
-    selectivity_counts: (f64, f64),
-
-    total_messages: u64,
-    total_samples: u64,
-    total_fresh_samples: u64,
-    total_snapshots: u64,
+    size: SizeTracker,
 }
 
 impl std::fmt::Debug for DigestEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DigestEngine")
             .field("name", &self.name)
-            .field("query", &self.query.to_string())
-            .field("snapshots", &self.total_snapshots)
+            .field("query", &self.member.query().to_string())
+            .field("snapshots", &self.member.totals().snapshots)
             .finish_non_exhaustive()
     }
 }
@@ -135,12 +111,10 @@ impl DigestEngine {
     /// [`crate::CoreError::InvalidConfig`] for invalid scheduler/
     /// estimator/sampling settings.
     pub fn new(query: ContinuousQuery, config: EngineConfig) -> Result<Self> {
-        let scheduler: Box<dyn SnapshotScheduler + Send> = match config.scheduler {
-            SchedulerKind::All => Box::new(AllScheduler::new()),
-            SchedulerKind::Pred(k) => Box::new(PredScheduler::new(k)?),
-        };
+        let member = Member::new(query, config.scheduler)?;
+        let query = member.query();
         let estimator = if query.op.is_sketch() {
-            EstimatorImpl::Sketch(crate::sketch_est::SketchSweepEstimator::for_query(&query)?)
+            EstimatorImpl::Sketch(crate::sketch_est::SketchSweepEstimator::for_query(query)?)
         } else if matches!(query.op, AggregateOp::Median) {
             EstimatorImpl::Quantile(crate::quantile_est::QuantileEstimator::new(
                 0.5,
@@ -158,50 +132,32 @@ impl DigestEngine {
             }
         };
         let operator = SamplingOperator::new(config.sampling)?;
-        // Size estimation targets the *uniform* node distribution, which
-        // the Metropolis walk reaches more slowly than the content-biased
-        // one on skewed topologies — and capture–recapture is biased (it
-        // over-counts collisions, under-estimating N̂) if the walks are
-        // under-mixed. Give the size walks 4× the budget.
-        let size_operator = SamplingOperator::new(SamplingConfig {
-            walk_length: config.sampling.walk_length.saturating_mul(4),
-            reset_length: config.sampling.reset_length.saturating_mul(2),
-            ..config.sampling
-        })?;
+        let size = SizeTracker::new(
+            config.sampling,
+            config.size_refresh_interval,
+            config.size_sample_target,
+        )?;
         let est_name = match &estimator {
             EstimatorImpl::Sketch(s) => s.name(),
             EstimatorImpl::Quantile(_) => "QUANTILE",
             EstimatorImpl::Indep(_) => "INDEP",
             EstimatorImpl::Rpt(_) => "RPT",
         };
-        let name = format!("{}+{}", scheduler.name(), est_name);
+        let name = format!("{}+{}", member.scheduler_name(), est_name);
         Ok(Self {
-            query,
+            member,
             config,
             name,
-            scheduler,
             estimator,
             operator,
-            size_operator,
-            started: false,
-            next_snapshot_tick: 0,
-            trace: 0,
-            current_estimate: 0.0,
-            last_reported: f64::NAN,
-            size_estimate: None,
-            snapshots_since_size_refresh: 0,
-            selectivity_counts: (0.0, 0.0),
-            total_messages: 0,
-            total_samples: 0,
-            total_fresh_samples: 0,
-            total_snapshots: 0,
+            size,
         })
     }
 
     /// The query this engine answers.
     #[must_use]
     pub fn query(&self) -> &ContinuousQuery {
-        &self.query
+        self.member.query()
     }
 
     /// The engine's configuration.
@@ -214,87 +170,18 @@ impl DigestEngine {
     /// `SUM`/`COUNT` queries).
     #[must_use]
     pub fn size_estimate(&self) -> Option<f64> {
-        self.size_estimate
+        self.size.estimate()
     }
 
-    /// Runs one size-estimation round: uniform node samples until the
-    /// capture–recapture estimator stabilises or the sample budget is
-    /// spent. Returns messages used.
-    fn refresh_size_estimate(
-        &mut self,
-        ctx: &TickContext<'_>,
-        rng: &mut dyn RngCore,
-    ) -> Result<u64> {
-        let _span = digest_telemetry::span(Stage::SizeEstimate);
-        telemetry::CORE_SIZE_REFRESHES.inc();
-        let mut est = SizeEstimator::new();
-        let mut messages = 0u64;
-        let w = uniform_weight();
-        self.size_operator.begin_occasion();
-        for _ in 0..self.config.size_sample_target {
-            let (node, cost) = self
-                .size_operator
-                .sample_node(ctx.graph, &w, ctx.origin, rng)?;
-            messages += cost.total();
-            est.add_sample(node, ctx.db.content_size(node));
-            // Enough collisions for a stable estimate → stop early.
-            // (var(r̂)/r̂² ≈ 1/C, so C = 32 gives ~18 % relative error.)
-            if est.collisions() >= 32 {
-                break;
-            }
-        }
-        if let Ok(n_hat) = est.estimate_tuple_count() {
-            // Blend with the previous estimate: capture–recapture rounds
-            // are noisy (relative error ~1/√C) but the relation size moves
-            // slowly, so averaging across refreshes pays off.
-            self.size_estimate = Some(match self.size_estimate {
-                Some(old) => old + 0.5 * (n_hat - old),
-                None => n_hat,
-            });
-        } else if self.size_estimate.is_none() {
-            // Too few collisions (network larger than the budget can
-            // resolve): fall back to distinct·mean as a floor estimate.
-            let mean_content = if est.samples() > 0 {
-                est.distinct() as f64
-            } else {
-                0.0
-            };
-            self.size_estimate = Some(mean_content.max(1.0));
-        }
-        self.snapshots_since_size_refresh = 0;
-        Ok(messages)
-    }
-
-    /// Scales the sampled AVG into the query's aggregate.
-    /// Folds one occasion's fresh-draw counts into the decayed selectivity
-    /// tally and returns the smoothed selectivity.
-    fn update_selectivity(&mut self, qualifying: f64, drawn: f64) -> f64 {
-        const DECAY: f64 = 0.75;
-        let (q, d) = self.selectivity_counts;
-        self.selectivity_counts = (q * DECAY + qualifying, d * DECAY + drawn);
-        let (q, d) = self.selectivity_counts;
-        if d > 0.0 {
-            q / d
-        } else {
-            1.0
-        }
-    }
-
-    /// Scales the sampled qualifying-AVG into the query's aggregate.
-    /// With a `WHERE` predicate, `SUM`/`COUNT` additionally scale by the
-    /// measured selectivity: the qualifying population is `N̂ · sel`.
-    fn scale(&self, avg: f64, selectivity: f64) -> f64 {
-        match self.query.op {
-            // Sketch kinds finalize to their scalar directly — no
-            // scaling by N̂ (DESIGN.md §17).
-            AggregateOp::Avg
-            | AggregateOp::Median
-            | AggregateOp::Percentile { .. }
-            | AggregateOp::Distinct
-            | AggregateOp::TopK { .. } => avg,
-            AggregateOp::Sum => avg * selectivity * self.size_estimate.unwrap_or(0.0),
-            AggregateOp::Count => selectivity * self.size_estimate.unwrap_or(0.0),
-        }
+    /// Books a reported occasion: totals, engine counters and the
+    /// `engine.snapshot` event.
+    fn publish(&mut self, updated: bool, samples: u64, fresh: u64, messages: u64) -> TickOutcome {
+        let outcome = self.member.close(updated, samples, fresh, messages);
+        telemetry::CORE_ENGINE_SNAPSHOTS.inc();
+        telemetry::CORE_ENGINE_MESSAGES.add(messages);
+        telemetry::CORE_ENGINE_SAMPLES.add(samples);
+        Member::emit(&self.name, &outcome);
+        outcome
     }
 }
 
@@ -305,14 +192,10 @@ impl QuerySystem for DigestEngine {
 
     fn next_due(&mut self, now: u64) -> Option<u64> {
         // Before the first snapshot the engine fires on its next tick
-        // (dense); afterwards every tick below `next_snapshot_tick` is
-        // the idle early-return in `on_tick` — no samples, no RNG — so
-        // the event-driven runner may jump straight to the deadline.
-        if self.started && self.next_snapshot_tick > now {
-            Some(self.next_snapshot_tick)
-        } else {
-            None
-        }
+        // (dense); afterwards every tick before the next occasion is the
+        // idle early-return in `on_tick` — no samples, no RNG — so the
+        // event-driven runner may jump straight to the deadline.
+        self.member.next_due(now)
     }
 
     fn on_tick(&mut self, ctx: &TickContext<'_>, rng: &mut dyn RngCore) -> Result<TickOutcome> {
@@ -320,18 +203,12 @@ impl QuerySystem for DigestEngine {
         // directly (unit tests, library embedding) rather than by a
         // tick-stamping driver.
         digest_telemetry::set_tick(ctx.tick);
-        if self.started && ctx.tick < self.next_snapshot_tick {
-            return Ok(TickOutcome::idle(self.current_estimate));
+        if self.member.is_idle_at(ctx.tick) {
+            return Ok(self.member.idle());
         }
 
         // --- Execute a snapshot query. ---
-        // A new reporting occasion begins: allocate its causal trace id so
-        // every event from the scheduler decision through snapshot, walk
-        // batches, estimate, and report carries the same envelope. The
-        // counter is bumped in deterministic engine order regardless of
-        // telemetry enablement or worker count, so tracing never perturbs
-        // a replay.
-        self.trace = digest_telemetry::begin_trace();
+        self.member.begin_occasion();
         let _tick_span = digest_telemetry::span(Stage::EngineTick);
         let mut messages = 0u64;
 
@@ -339,100 +216,50 @@ impl QuerySystem for DigestEngine {
         // do: their scalar needs no N̂ scaling (DESIGN.md §17), and a
         // capture–recapture round would cost messages and RNG draws for
         // nothing.
-        if !matches!(self.query.op, AggregateOp::Avg)
-            && !self.query.op.is_sketch()
-            && (self.size_estimate.is_none()
-                || self.snapshots_since_size_refresh >= self.config.size_refresh_interval)
-        {
-            messages += self.refresh_size_estimate(ctx, rng)?;
+        let op = self.member.query().op;
+        if !matches!(op, AggregateOp::Avg) && !op.is_sketch() {
+            messages += self.size.refresh_if_due(ctx, rng)?;
         }
 
         // Sketch-served kinds bypass the sampling estimators entirely:
         // one deterministic sweep over the overlay (DESIGN.md §17).
         if let EstimatorImpl::Sketch(est) = &mut self.estimator {
-            let eval_span = digest_telemetry::span(Stage::EstimatorEval);
-            let sweep = est.sweep(ctx.db, &self.query.expr, &self.query.predicate)?;
-            drop(eval_span);
+            let sweep = self.member.sweep(est, ctx)?;
             messages += sweep.messages;
-            let Some(scaled) = sweep.estimate else {
+            let Some(value) = sweep.estimate else {
                 // Nothing qualified (e.g. quantile over an empty set):
                 // hold the current result and retry next tick.
-                self.next_snapshot_tick = ctx.tick + 1;
-                self.total_messages += messages;
-                self.total_snapshots += 1;
-                return Ok(TickOutcome {
-                    estimate: self.current_estimate,
-                    updated: false,
-                    snapshot_executed: true,
-                    samples_this_tick: 0,
-                    fresh_samples_this_tick: 0,
-                    messages_this_tick: messages,
-                });
+                self.member.retry(ctx.tick);
+                return Ok(self.member.close(false, 0, 0, messages));
             };
-            self.current_estimate = scaled;
-            self.started = true;
-            let updated = self.last_reported.is_nan()
-                || (scaled - self.last_reported).abs() >= self.query.precision.delta;
-            if updated {
-                self.last_reported = scaled;
-            }
-            self.scheduler.observe(ctx.tick as f64, scaled);
-            let delay = {
-                let _span = digest_telemetry::span(Stage::SchedulerDecide);
-                self.scheduler.next_delay(self.query.precision.delta)?
-            };
-            self.next_snapshot_tick = ctx.tick + delay;
-            self.total_messages += messages;
-            self.total_samples += sweep.qualifying;
-            self.total_fresh_samples += sweep.fresh_nodes;
-            self.total_snapshots += 1;
-            telemetry::CORE_ENGINE_SNAPSHOTS.inc();
-            telemetry::CORE_ENGINE_MESSAGES.add(messages);
-            telemetry::CORE_ENGINE_SAMPLES.add(sweep.qualifying);
-            if digest_telemetry::events_enabled() {
-                digest_telemetry::emit(
-                    "engine.snapshot",
-                    &[
-                        ("system", Field::Str(&self.name)),
-                        ("estimate", Field::F64(scaled)),
-                        ("messages", Field::U64(messages)),
-                        ("samples", Field::U64(sweep.qualifying)),
-                    ],
-                );
-            }
-            return Ok(TickOutcome {
-                estimate: scaled,
-                updated,
-                snapshot_executed: true,
-                samples_this_tick: sweep.qualifying,
-                fresh_samples_this_tick: sweep.fresh_nodes,
-                messages_this_tick: messages,
-            });
+            let updated = self.member.report(ctx.tick, value)?;
+            return Ok(self.publish(updated, sweep.qualifying, sweep.fresh_nodes, messages));
         }
 
         let eval_span = digest_telemetry::span(Stage::EstimatorEval);
+        let query = self.member.query();
         let evaluated = match &mut self.estimator {
             EstimatorImpl::Indep(e) => e.evaluate(
                 ctx,
-                &self.query.expr,
-                &self.query.predicate,
-                &self.query.precision,
+                &query.expr,
+                &query.predicate,
+                &query.precision,
                 &mut self.operator,
                 rng,
             ),
             EstimatorImpl::Rpt(e) => e.evaluate(
                 ctx,
-                &self.query.expr,
-                &self.query.predicate,
-                &self.query.precision,
+                &query.expr,
+                &query.predicate,
+                &query.precision,
                 &mut self.operator,
                 rng,
             ),
             EstimatorImpl::Quantile(e) => e.evaluate(
                 ctx,
-                &self.query.expr,
-                &self.query.predicate,
-                &self.query.precision,
+                &query.expr,
+                &query.predicate,
+                &query.precision,
                 &mut self.operator,
                 rng,
             ),
@@ -450,132 +277,58 @@ impl QuerySystem for DigestEngine {
             Err(crate::error::CoreError::Sampling(
                 digest_sampling::SamplingError::EmptyDatabase,
             )) => {
-                self.next_snapshot_tick = ctx.tick + 1;
-                self.total_messages += messages;
-                self.total_snapshots += 1;
-                return Ok(TickOutcome {
-                    estimate: self.current_estimate,
-                    updated: false,
-                    snapshot_executed: true,
-                    samples_this_tick: 0,
-                    fresh_samples_this_tick: 0,
-                    messages_this_tick: messages,
-                });
+                self.member.retry(ctx.tick);
+                return Ok(self.member.close(false, 0, 0, messages));
             }
             Err(other) => return Err(other),
         };
         messages += snapshot.messages;
+        let samples = snapshot.total_samples();
 
         // A nontrivial predicate can transiently match nothing; hold the
-        // previous result rather than reporting a meaningless mean, but
-        // still count the probe (COUNT/SUM legitimately report 0).
-        if snapshot.qualifying_samples == 0
-            && !self.query.predicate.is_trivial()
-            && matches!(self.query.op, AggregateOp::Avg)
-            && self.started
-        {
-            self.scheduler
-                .observe(ctx.tick as f64, self.current_estimate);
-            let delay = self.scheduler.next_delay(self.query.precision.delta)?;
-            self.next_snapshot_tick = ctx.tick + delay;
-            self.total_messages += messages;
-            self.total_samples += snapshot.total_samples();
-            self.total_fresh_samples += snapshot.fresh_samples;
-            self.total_snapshots += 1;
-            return Ok(TickOutcome {
-                estimate: self.current_estimate,
-                updated: false,
-                snapshot_executed: true,
-                samples_this_tick: snapshot.total_samples(),
-                fresh_samples_this_tick: snapshot.fresh_samples,
-                messages_this_tick: messages,
-            });
+        // previous result, but still count the probe.
+        if self.member.holds_empty(snapshot.qualifying_samples) {
+            self.member.hold(ctx.tick)?;
+            return Ok(self
+                .member
+                .close(false, samples, snapshot.fresh_samples, messages));
         }
 
-        let selectivity = if self.query.predicate.is_trivial() {
-            1.0
-        } else {
-            self.update_selectivity(
-                snapshot.selectivity * snapshot.fresh_samples as f64,
-                snapshot.fresh_samples as f64,
-            )
-        };
-        let scaled = self.scale(snapshot.estimate, selectivity);
-        self.current_estimate = scaled;
-        self.started = true;
-        self.snapshots_since_size_refresh += 1;
-
-        // δ-semantics: the user-visible result updates only when the
-        // aggregate moved at least δ since the last reported update.
-        let updated = self.last_reported.is_nan()
-            || (scaled - self.last_reported).abs() >= self.query.precision.delta;
-        if updated {
-            self.last_reported = scaled;
-        }
-
-        // Schedule the next occasion.
-        self.scheduler.observe(ctx.tick as f64, scaled);
-        let delay = {
-            let _span = digest_telemetry::span(Stage::SchedulerDecide);
-            self.scheduler.next_delay(self.query.precision.delta)?
-        };
-        self.next_snapshot_tick = ctx.tick + delay;
-
-        let samples = snapshot.total_samples();
-        self.total_messages += messages;
-        self.total_samples += samples;
-        self.total_fresh_samples += snapshot.fresh_samples;
-        self.total_snapshots += 1;
-
-        telemetry::CORE_ENGINE_SNAPSHOTS.inc();
-        telemetry::CORE_ENGINE_MESSAGES.add(messages);
-        telemetry::CORE_ENGINE_SAMPLES.add(samples);
-        if digest_telemetry::events_enabled() {
-            digest_telemetry::emit(
-                "engine.snapshot",
-                &[
-                    ("system", Field::Str(&self.name)),
-                    ("estimate", Field::F64(scaled)),
-                    ("messages", Field::U64(messages)),
-                    ("samples", Field::U64(samples)),
-                ],
-            );
-        }
-
-        Ok(TickOutcome {
-            estimate: scaled,
-            updated,
-            snapshot_executed: true,
-            samples_this_tick: samples,
-            fresh_samples_this_tick: snapshot.fresh_samples,
-            messages_this_tick: messages,
-        })
+        let fresh = snapshot.fresh_samples as f64;
+        let updated = self.member.report_mean(
+            ctx.tick,
+            snapshot.estimate,
+            (snapshot.selectivity * fresh, fresh),
+            self.size.estimate(),
+        )?;
+        self.size.note_use();
+        Ok(self.publish(updated, samples, snapshot.fresh_samples, messages))
     }
 
     fn total_messages(&self) -> u64 {
-        self.total_messages
+        self.member.totals().messages
     }
 
     fn set_sampling_workers(&mut self, workers: usize) {
         self.config.sampling.workers = workers;
         self.operator.set_workers(workers);
-        self.size_operator.set_workers(workers);
+        self.size.set_workers(workers);
     }
 
     fn total_samples(&self) -> u64 {
-        self.total_samples
+        self.member.totals().samples
     }
 
     fn total_snapshots(&self) -> u64 {
-        self.total_snapshots
+        self.member.totals().snapshots
     }
 
     fn oracle_truth(&self, ctx: &TickContext<'_>) -> Option<f64> {
-        self.query.oracle(ctx.db)
+        self.member.query().oracle(ctx.db)
     }
 
     fn trace_id(&self) -> u64 {
-        self.trace
+        self.member.trace()
     }
 }
 

@@ -31,6 +31,7 @@ pub mod baselines;
 pub mod engine;
 pub mod error;
 pub mod indep;
+mod member;
 pub mod mux;
 pub mod panel;
 pub mod quantile_est;

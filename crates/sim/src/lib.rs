@@ -12,11 +12,13 @@
 //! [`trace::RunReport`]: per-tick records of the exact aggregate (oracle)
 //! versus the system's running estimate, plus totals of snapshots, samples
 //! and messages, and the realised precision-violation rates that verify
-//! the `(δ, ε, p)` guarantee.
+//! the `(δ, ε, p)` guarantee. [`runner::run_mux`] does the same for every
+//! member of a [`digest_core::QueryMux`].
 //!
-//! For million-node overlays, [`runner::run_events`] swaps the dense tick
-//! loop for a calendar [`events::EventQueue`] (cost ∝ due ticks, not the
-//! horizon), and [`flat::run_flat`] runs a sharded deterministic
+//! Both run through one loop over a calendar [`events::EventQueue`]:
+//! ticks that the workload and the system both declare idle are skipped
+//! (cost ∝ due ticks, not the horizon), and every other tick executes.
+//! [`flat::run_flat`] runs a sharded deterministic
 //! simulation of a 10⁶-node [`digest_net::Graph`] with the sampling
 //! operator's own M–H walk — per-shard counter-split RNG streams, the
 //! shared lock-free claim/publish protocol, ordered merge — so worker
@@ -35,5 +37,5 @@ pub mod trace;
 pub use events::EventQueue;
 pub use flat::{run_flat, FlatReport, FlatSimConfig};
 pub use parallel::{run_replications, summarize, MetricSummary};
-pub use runner::{run, run_events, run_mux, run_observed, RunConfig};
+pub use runner::{run, run_mux, run_observed, RunConfig};
 pub use trace::{RunReport, TraceRecord};

@@ -1,18 +1,24 @@
-//! Driving one query system over one workload.
+//! Driving query systems over one workload.
 //!
-//! Two drivers share one per-tick body (the private `step_tick`): the classic
-//! dense loop ([`run`] / [`run_observed`]) executes every tick, and the
-//! event-driven loop ([`run_events`]) pops due ticks from a calendar
-//! [`EventQueue`], skipping spans where both the workload and the
-//! system declare themselves idle. On dense scenarios (the default
-//! [`Workload::next_activity`] / `QuerySystem::next_due` hints) every
-//! tick is due, so the two drivers are byte-identical by construction.
+//! Every run goes through one loop (the private `drive`): a calendar
+//! [`EventQueue`] pops due ticks, and after each executed tick the
+//! workload's [`Workload::next_activity`] and the system's
+//! `QuerySystem::next_due` hints pick the next one. Either side saying
+//! "no schedule" (`None`) keeps the run dense from there, so the paper's
+//! worlds, whose workloads change every tick, execute every tick. Spans
+//! both sides promised are pure idle holds are skipped outright and leave
+//! no [`TraceRecord`]; every executed tick records exactly what a dense
+//! run records for it.
+//!
+//! [`run`] / [`run_observed`] serve one [`QuerySystem`]; [`run_mux`] serves
+//! every member of a [`QueryMux`] with its own oracle, observer callback
+//! and trace.
 
 use crate::events::EventQueue;
 use crate::trace::{RunReport, TraceRecord};
 use digest_core::{
     CoreError, MuxObserver, NoopObserver, QueryMux, QuerySystem, Result, TickContext, TickObserver,
-    TruthTable,
+    TickOutcome, TruthTable,
 };
 use digest_net::NodeId;
 use digest_telemetry::{registry as telemetry, Field, Stage};
@@ -54,6 +60,15 @@ impl RunConfig {
             sampling_workers: None,
         }
     }
+
+    /// The last tick (exclusive) this run may execute on `workload`.
+    fn horizon(&self, workload: &impl Workload) -> u64 {
+        if self.respect_duration {
+            self.ticks.min(workload.duration())
+        } else {
+            self.ticks
+        }
+    }
 }
 
 /// Runs `system` against `workload`, recording a per-tick trace.
@@ -62,9 +77,9 @@ impl RunConfig {
 /// re-elected if churn removes it (the paper issues queries from random
 /// nodes; any live node is equivalent for counting purposes).
 ///
-/// Per tick, the order is: advance the workload (apply this tick's
-/// updates/churn), let the system react, then record the oracle truth
-/// next to the system's estimate.
+/// Per executed tick, the order is: advance the workload (apply this
+/// tick's updates/churn), let the system react, then record the oracle
+/// truth next to the system's estimate.
 ///
 /// # Errors
 ///
@@ -90,10 +105,10 @@ pub fn run<W: Workload, S: QuerySystem + ?Sized>(
     )
 }
 
-/// [`run`] with a [`TickObserver`] attached: the observer sees every tick
-/// (after the system reacted, with the oracle truth) without perturbing
-/// the run — it consumes no randomness and the trace/report are
-/// byte-identical to an unobserved run.
+/// [`run`] with a [`TickObserver`] attached: the observer sees every
+/// executed tick (after the system reacted, with the oracle truth)
+/// without perturbing the run — it consumes no randomness and the
+/// trace/report are byte-identical to an unobserved run.
 ///
 /// # Errors
 ///
@@ -111,203 +126,21 @@ pub fn run_observed<W: Workload, S: QuerySystem + ?Sized>(
     if let Some(workers) = config.sampling_workers {
         system.set_sampling_workers(workers);
     }
-
-    let mut origin = workload
-        .graph()
-        .nodes()
-        .next()
-        .ok_or(CoreError::EmptyWorkload)?;
-
-    let horizon = if config.respect_duration {
-        config.ticks.min(workload.duration())
-    } else {
-        config.ticks
+    let mut solo = Solo {
+        system,
+        observer,
+        // Capacity is only a hint; a clamped value is fine on 32-bit
+        // targets.
+        records: Vec::with_capacity(usize::try_from(config.horizon(workload)).unwrap_or(0)),
     };
-
-    // Capacity is only a hint; a clamped value is fine on 32-bit targets.
-    let mut records = Vec::with_capacity(usize::try_from(horizon).unwrap_or(0));
-    for tick in 0..horizon {
-        step_tick(
-            workload,
-            system,
-            tick,
-            &mut origin,
-            rng,
-            observer,
-            &mut records,
-        )?;
-    }
-
+    drive(workload, &mut solo, config, rng)?;
     Ok(RunReport {
-        system: system.name().to_owned(),
+        system: solo.system.name().to_owned(),
         workload: workload.name().to_owned(),
-        records,
+        records: solo.records,
         delta,
         epsilon,
     })
-}
-
-/// [`run_observed`], but driven by a calendar [`EventQueue`] instead of
-/// a dense `0..horizon` loop: after each executed tick the workload's
-/// [`Workload::next_activity`] and the system's `next_due` hints decide
-/// the next due tick, and the spans in between are skipped outright —
-/// per-run cost is proportional to due ticks, not to the horizon.
-///
-/// With the default (dense) hints every tick is due and this is
-/// byte-identical to [`run_observed`] — same RNG stream, same trace —
-/// which the test suite and `cargo xtask determinism` pin down. Sparse
-/// hints only skip ticks both sides promised were pure idle holds, so
-/// the recorded trace still matches the dense run on every executed
-/// tick; skipped ticks simply produce no [`TraceRecord`].
-///
-/// # Errors
-///
-/// As for [`run`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_events<W: Workload, S: QuerySystem + ?Sized>(
-    workload: &mut W,
-    system: &mut S,
-    config: RunConfig,
-    delta: f64,
-    epsilon: f64,
-    rng: &mut dyn RngCore,
-    observer: &mut dyn TickObserver,
-) -> Result<RunReport> {
-    if let Some(workers) = config.sampling_workers {
-        system.set_sampling_workers(workers);
-    }
-
-    let mut origin = workload
-        .graph()
-        .nodes()
-        .next()
-        .ok_or(CoreError::EmptyWorkload)?;
-
-    let horizon = if config.respect_duration {
-        config.ticks.min(workload.duration())
-    } else {
-        config.ticks
-    };
-
-    let mut records = Vec::new();
-    let mut queue = EventQueue::new();
-    if horizon > 0 {
-        queue.schedule(0);
-    }
-    while let Some(tick) = queue.pop_next() {
-        if tick >= horizon {
-            break;
-        }
-        step_tick(
-            workload,
-            system,
-            tick,
-            &mut origin,
-            rng,
-            observer,
-            &mut records,
-        )?;
-        // Subscribe the next due tick: the earliest of the workload's
-        // and the system's own schedules; either side saying "no
-        // schedule" (None) keeps the run dense from here.
-        let next = match (workload.next_activity(), system.next_due(tick)) {
-            (None, _) | (_, None) => tick + 1,
-            (Some(w), Some(s)) => w.min(s).max(tick + 1),
-        };
-        if next < horizon {
-            queue.schedule(next);
-        }
-    }
-
-    Ok(RunReport {
-        system: system.name().to_owned(),
-        workload: workload.name().to_owned(),
-        records,
-        delta,
-        epsilon,
-    })
-}
-
-/// One full simulation tick — the body both drivers share, so the
-/// event-driven and dense loops cannot drift apart: advance the
-/// workload through `tick`, re-elect the origin if churn took it, let
-/// the system react, observe, emit, record.
-fn step_tick<W: Workload, S: QuerySystem + ?Sized>(
-    workload: &mut W,
-    system: &mut S,
-    tick: u64,
-    origin: &mut NodeId,
-    rng: &mut dyn RngCore,
-    observer: &mut dyn TickObserver,
-    records: &mut Vec<TraceRecord>,
-) -> Result<()> {
-    digest_telemetry::set_tick(tick);
-    telemetry::SIM_TICKS.inc();
-    {
-        let _span = digest_telemetry::span(Stage::WorkloadAdvance);
-        // On consecutive ticks this is exactly one `advance` call (the
-        // workload sits at `current_tick == tick` here), so the dense
-        // driver's byte stream is unchanged; after a skipped span it
-        // catches the workload up per its `next_activity` contract.
-        workload.advance_to(tick, rng);
-    }
-
-    // Re-elect the querying node if churn removed it.
-    if !workload.graph().contains(*origin) {
-        *origin = elect_origin(workload, rng)?;
-    }
-
-    let (outcome, exact) = {
-        let ctx = TickContext {
-            tick,
-            graph: workload.graph(),
-            db: workload.db(),
-            origin: *origin,
-        };
-        let outcome = system.on_tick(&ctx, rng)?;
-        // Ground truth for the *system's* query when it can provide
-        // one (COUNT/SUM/MEDIAN/WHERE); plain-AVG oracle otherwise.
-        let exact = {
-            let _span = digest_telemetry::span(Stage::Oracle);
-            telemetry::SIM_ORACLE_PASSES.inc();
-            system
-                .oracle_truth(&ctx)
-                .unwrap_or_else(|| workload.exact_aggregate())
-        };
-        // Stamp this tick's remaining events (and the observer's
-        // audit events) with the occasion that produced the current
-        // estimate.
-        digest_telemetry::set_trace(system.trace_id());
-        observer.observe(&ctx, &outcome, exact);
-        (outcome, exact)
-    };
-
-    if digest_telemetry::events_enabled() {
-        digest_telemetry::emit(
-            "tick",
-            &[
-                ("estimate", Field::F64(outcome.estimate)),
-                ("exact", Field::F64(exact)),
-                ("snapshot", Field::Bool(outcome.snapshot_executed)),
-                ("samples", Field::U64(outcome.samples_this_tick)),
-                ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
-                ("messages", Field::U64(outcome.messages_this_tick)),
-                ("updated", Field::U64(u64::from(outcome.updated))),
-            ],
-        );
-    }
-
-    records.push(TraceRecord {
-        tick,
-        exact,
-        estimate: outcome.estimate,
-        updated: outcome.updated,
-        snapshot: outcome.snapshot_executed,
-        samples: outcome.samples_this_tick,
-        fresh_samples: outcome.fresh_samples_this_tick,
-        messages: outcome.messages_this_tick,
-    });
-    Ok(())
 }
 
 /// Runs a [`QueryMux`] against `workload`, recording one per-tick trace
@@ -318,10 +151,11 @@ fn step_tick<W: Workload, S: QuerySystem + ?Sized>(
 /// the member's occasion was served from a shared sampling round.
 ///
 /// The truths come from one [`TruthTable`] built before the first tick:
-/// each tick, after the mux has served the members, it makes one oracle
-/// pass per distinct `(family, expr, predicate)` key, so members reading
-/// the same scan share it. Every member's truth is bit-identical to its
-/// query's [`ContinuousQuery::oracle`](digest_core::ContinuousQuery::oracle).
+/// each executed tick, after the mux has served the members, it makes one
+/// oracle pass per distinct `(family, expr, predicate)` key, so members
+/// reading the same scan share it. Every member's truth is bit-identical
+/// to its query's
+/// [`ContinuousQuery::oracle`](digest_core::ContinuousQuery::oracle).
 ///
 /// The member set must stay fixed for the duration of the run (register
 /// before calling; dynamic arrival/departure workloads drive the mux
@@ -344,96 +178,31 @@ pub fn run_mux<W: Workload>(
     if let Some(workers) = config.sampling_workers {
         mux.set_sampling_workers(workers);
     }
-
-    let mut origin = workload
-        .graph()
-        .nodes()
-        .next()
-        .ok_or(CoreError::EmptyWorkload)?;
-
-    let horizon = if config.respect_duration {
-        config.ticks.min(workload.duration())
-    } else {
-        config.ticks
-    };
-
     let ids = mux.query_ids();
-    let mut truths = TruthTable::new(ids.iter().filter_map(|&id| mux.query(id)));
-    let mut records: BTreeMap<u64, Vec<TraceRecord>> = ids
-        .iter()
-        .map(|&id| {
-            (
-                id,
-                Vec::with_capacity(usize::try_from(horizon).unwrap_or(0)),
-            )
-        })
-        .collect();
+    let horizon = config.horizon(workload);
+    let mut muxed = Muxed {
+        truths: TruthTable::new(ids.iter().filter_map(|&id| mux.query(id))),
+        records: ids
+            .iter()
+            .map(|&id| {
+                (
+                    id,
+                    Vec::with_capacity(usize::try_from(horizon).unwrap_or(0)),
+                )
+            })
+            .collect(),
+        ids,
+        mux,
+        observer,
+    };
+    drive(workload, &mut muxed, config, rng)?;
 
-    for tick in 0..horizon {
-        digest_telemetry::set_tick(tick);
-        telemetry::SIM_TICKS.inc();
-        {
-            let _span = digest_telemetry::span(Stage::WorkloadAdvance);
-            workload.advance(rng);
-        }
-        if !workload.graph().contains(origin) {
-            origin = elect_origin(workload, rng)?;
-        }
-
-        let ctx = TickContext {
-            tick,
-            graph: workload.graph(),
-            db: workload.db(),
-            origin,
-        };
-        let outcomes = mux.on_tick_mux(&ctx, rng)?;
-        {
-            let _span = digest_telemetry::span(Stage::Oracle);
-            truths.evaluate(ctx.db);
-            telemetry::SIM_ORACLE_PASSES.add(truths.passes() as u64);
-        }
-        for o in &outcomes {
-            // Each member's ground truth is its own query's oracle, read
-            // from this tick's shared passes (`ids` is ascending).
-            let exact = ids
-                .binary_search(&o.query)
-                .ok()
-                .and_then(|member| truths.truth(member))
-                .unwrap_or_else(|| workload.exact_aggregate());
-            // Attribute the member's tick/audit events to the occasion
-            // that produced its current estimate.
-            digest_telemetry::set_trace(o.trace);
-            observer.observe_query(o.query, &ctx, &o.outcome, exact, o.round);
-            if digest_telemetry::events_enabled() {
-                digest_telemetry::emit(
-                    "tick",
-                    &[
-                        ("estimate", Field::F64(o.outcome.estimate)),
-                        ("exact", Field::F64(exact)),
-                        ("snapshot", Field::Bool(o.outcome.snapshot_executed)),
-                        ("samples", Field::U64(o.outcome.samples_this_tick)),
-                        ("fresh", Field::U64(o.outcome.fresh_samples_this_tick)),
-                        ("messages", Field::U64(o.outcome.messages_this_tick)),
-                        ("updated", Field::U64(u64::from(o.outcome.updated))),
-                        ("query", Field::U64(o.query)),
-                    ],
-                );
-            }
-            if let Some(trace) = records.get_mut(&o.query) {
-                trace.push(TraceRecord {
-                    tick,
-                    exact,
-                    estimate: o.outcome.estimate,
-                    updated: o.outcome.updated,
-                    snapshot: o.outcome.snapshot_executed,
-                    samples: o.outcome.samples_this_tick,
-                    fresh_samples: o.outcome.fresh_samples_this_tick,
-                    messages: o.outcome.messages_this_tick,
-                });
-            }
-        }
-    }
-
+    let Muxed {
+        mux,
+        ids,
+        mut records,
+        ..
+    } = muxed;
     let workload_name = workload.name().to_owned();
     Ok(ids
         .iter()
@@ -448,6 +217,183 @@ pub fn run_mux<W: Workload>(
             })
         })
         .collect())
+}
+
+/// What the loop serves on each executed tick.
+trait Served<W> {
+    /// The system's own next due tick (`QuerySystem::next_due`).
+    fn next_due(&mut self, now: u64) -> Option<u64>;
+
+    /// Lets the system react to the advanced world, then scores, observes
+    /// and records its outcome(s).
+    fn serve(&mut self, workload: &W, ctx: &TickContext<'_>, rng: &mut dyn RngCore) -> Result<()>;
+}
+
+/// The one tick loop: pop the next due tick, advance the workload
+/// through it, re-elect the origin if churn took it, serve, then
+/// subscribe the next due tick — the earliest of the workload's and the
+/// system's own schedules, or the next tick when either has none.
+fn drive<W: Workload, S: Served<W>>(
+    workload: &mut W,
+    served: &mut S,
+    config: RunConfig,
+    rng: &mut dyn RngCore,
+) -> Result<()> {
+    let mut origin = workload
+        .graph()
+        .nodes()
+        .next()
+        .ok_or(CoreError::EmptyWorkload)?;
+    let horizon = config.horizon(workload);
+    let mut queue = EventQueue::new();
+    if horizon > 0 {
+        queue.schedule(0);
+    }
+    while let Some(tick) = queue.pop_next() {
+        if tick >= horizon {
+            break;
+        }
+        digest_telemetry::set_tick(tick);
+        telemetry::SIM_TICKS.inc();
+        {
+            let _span = digest_telemetry::span(Stage::WorkloadAdvance);
+            // On consecutive ticks this is exactly one `advance` call (the
+            // workload sits at `current_tick == tick` here); after a
+            // skipped span it catches the workload up per its
+            // `next_activity` contract.
+            workload.advance_to(tick, rng);
+        }
+        if !workload.graph().contains(origin) {
+            origin = elect_origin(workload, rng)?;
+        }
+        let ctx = TickContext {
+            tick,
+            graph: workload.graph(),
+            db: workload.db(),
+            origin,
+        };
+        served.serve(workload, &ctx, rng)?;
+        let next = match (workload.next_activity(), served.next_due(tick)) {
+            (None, _) | (_, None) => tick + 1,
+            (Some(w), Some(s)) => w.min(s).max(tick + 1),
+        };
+        if next < horizon {
+            queue.schedule(next);
+        }
+    }
+    Ok(())
+}
+
+/// One [`QuerySystem`], scored by its own oracle (or the workload's
+/// plain-AVG one) and watched by one [`TickObserver`].
+struct Solo<'a, S: ?Sized> {
+    system: &'a mut S,
+    observer: &'a mut dyn TickObserver,
+    records: Vec<TraceRecord>,
+}
+
+impl<W: Workload, S: QuerySystem + ?Sized> Served<W> for Solo<'_, S> {
+    fn next_due(&mut self, now: u64) -> Option<u64> {
+        self.system.next_due(now)
+    }
+
+    fn serve(&mut self, workload: &W, ctx: &TickContext<'_>, rng: &mut dyn RngCore) -> Result<()> {
+        let outcome = self.system.on_tick(ctx, rng)?;
+        // Ground truth for the *system's* query when it can provide one
+        // (COUNT/SUM/MEDIAN/WHERE); plain-AVG oracle otherwise.
+        let exact = {
+            let _span = digest_telemetry::span(Stage::Oracle);
+            telemetry::SIM_ORACLE_PASSES.inc();
+            self.system
+                .oracle_truth(ctx)
+                .unwrap_or_else(|| workload.exact_aggregate())
+        };
+        // Stamp this tick's remaining events (and the observer's audit
+        // events) with the occasion that produced the current estimate.
+        digest_telemetry::set_trace(self.system.trace_id());
+        self.observer.observe(ctx, &outcome, exact);
+        emit_tick(&outcome, exact, None);
+        self.records.push(record(ctx.tick, &outcome, exact));
+        Ok(())
+    }
+}
+
+/// Every member of a [`QueryMux`], scored from one [`TruthTable`] and
+/// watched by one [`MuxObserver`].
+struct Muxed<'a> {
+    mux: &'a mut QueryMux,
+    observer: &'a mut dyn MuxObserver,
+    /// Registered member ids, ascending (the truth table's member order).
+    ids: Vec<u64>,
+    truths: TruthTable,
+    records: BTreeMap<u64, Vec<TraceRecord>>,
+}
+
+impl<W: Workload> Served<W> for Muxed<'_> {
+    fn next_due(&mut self, now: u64) -> Option<u64> {
+        self.mux.next_due(now)
+    }
+
+    fn serve(&mut self, workload: &W, ctx: &TickContext<'_>, rng: &mut dyn RngCore) -> Result<()> {
+        let outcomes = self.mux.on_tick_mux(ctx, rng)?;
+        {
+            let _span = digest_telemetry::span(Stage::Oracle);
+            self.truths.evaluate(ctx.db);
+            telemetry::SIM_ORACLE_PASSES.add(self.truths.passes() as u64);
+        }
+        for o in &outcomes {
+            // Each member's ground truth is its own query's oracle, read
+            // from this tick's shared passes.
+            let exact = self
+                .ids
+                .binary_search(&o.query)
+                .ok()
+                .and_then(|member| self.truths.truth(member))
+                .unwrap_or_else(|| workload.exact_aggregate());
+            // Attribute the member's tick/audit events to the occasion
+            // that produced its current estimate.
+            digest_telemetry::set_trace(o.trace);
+            self.observer
+                .observe_query(o.query, ctx, &o.outcome, exact, o.round);
+            emit_tick(&o.outcome, exact, Some(o.query));
+            if let Some(trace) = self.records.get_mut(&o.query) {
+                trace.push(record(ctx.tick, &o.outcome, exact));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Emits one `tick` event (with a `query` field for mux members).
+fn emit_tick(outcome: &TickOutcome, exact: f64, query: Option<u64>) {
+    if !digest_telemetry::events_enabled() {
+        return;
+    }
+    let fields = [
+        ("estimate", Field::F64(outcome.estimate)),
+        ("exact", Field::F64(exact)),
+        ("snapshot", Field::Bool(outcome.snapshot_executed)),
+        ("samples", Field::U64(outcome.samples_this_tick)),
+        ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
+        ("messages", Field::U64(outcome.messages_this_tick)),
+        ("updated", Field::U64(u64::from(outcome.updated))),
+        ("query", Field::U64(query.unwrap_or(0))),
+    ];
+    let len = if query.is_some() { 8 } else { 7 };
+    digest_telemetry::emit("tick", &fields[..len]);
+}
+
+fn record(tick: u64, outcome: &TickOutcome, exact: f64) -> TraceRecord {
+    TraceRecord {
+        tick,
+        exact,
+        estimate: outcome.estimate,
+        updated: outcome.updated,
+        snapshot: outcome.snapshot_executed,
+        samples: outcome.samples_this_tick,
+        fresh_samples: outcome.fresh_samples_this_tick,
+        messages: outcome.messages_this_tick,
+    }
 }
 
 fn elect_origin<W: Workload>(workload: &W, rng: &mut dyn RngCore) -> Result<NodeId> {
@@ -587,9 +533,50 @@ mod tests {
         assert_eq!(report.ticks(), 50);
     }
 
-    /// The event-driven driver must replay the dense driver's byte
-    /// stream exactly on existing scenarios (default hints = every tick
-    /// due), including under churn that re-elects the origin.
+    /// A workload forced dense: forwards everything to `W` but promises
+    /// no idle span, so the loop executes every tick — the reference the
+    /// hint-driven runs are checked against.
+    struct Dense<W>(W);
+
+    impl<W: Workload> Workload for Dense<W> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn graph(&self) -> &digest_net::Graph {
+            self.0.graph()
+        }
+        fn db(&self) -> &digest_db::P2PDatabase {
+            self.0.db()
+        }
+        fn expr(&self) -> &Expr {
+            self.0.expr()
+        }
+        fn current_tick(&self) -> u64 {
+            self.0.current_tick()
+        }
+        fn duration(&self) -> u64 {
+            self.0.duration()
+        }
+        fn advance(&mut self, rng: &mut dyn rand::RngCore) {
+            self.0.advance(rng);
+        }
+        fn next_activity(&self) -> Option<u64> {
+            None
+        }
+        fn exact_aggregate(&self) -> f64 {
+            self.0.exact_aggregate()
+        }
+        fn sigma_ref(&self) -> f64 {
+            self.0.sigma_ref()
+        }
+        fn rho_ref(&self) -> f64 {
+            self.0.rho_ref()
+        }
+    }
+
+    /// The hint-driven loop must replay the dense run's byte stream
+    /// exactly on existing scenarios (default hints = every tick due),
+    /// including under churn that re-elects the origin.
     #[test]
     fn event_driven_run_is_byte_identical_to_dense_run() {
         let make_engine = || {
@@ -607,7 +594,7 @@ mod tests {
             .unwrap()
         };
         let dense = {
-            let mut w = temp_workload();
+            let mut w = Dense(temp_workload());
             let mut engine = make_engine();
             let mut rng = ChaCha8Rng::seed_from_u64(11);
             run(
@@ -624,14 +611,13 @@ mod tests {
             let mut w = temp_workload();
             let mut engine = make_engine();
             let mut rng = ChaCha8Rng::seed_from_u64(11);
-            run_events(
+            run(
                 &mut w,
                 &mut engine,
                 RunConfig::for_ticks(60),
                 8.0,
                 2.0,
                 &mut rng,
-                &mut NoopObserver,
             )
             .unwrap()
         };
@@ -715,9 +701,9 @@ mod tests {
         }
     }
 
-    /// With a sparse workload and a PRED engine, the event loop must
-    /// actually skip idle spans — fewer executed ticks than the horizon
-    /// — while every executed tick matches the dense run bit-for-bit.
+    /// With a sparse workload and a PRED engine, the loop must actually
+    /// skip idle spans — fewer executed ticks than the horizon — while
+    /// every executed tick matches the dense run bit-for-bit.
     #[test]
     fn event_driven_run_skips_idle_spans_on_sparse_workloads() {
         let make_engine = || {
@@ -736,7 +722,7 @@ mod tests {
         };
         const TICKS: u64 = 200;
         let dense = {
-            let mut w = FrozenWorkload::new();
+            let mut w = Dense(FrozenWorkload::new());
             let mut engine = make_engine();
             let mut rng = ChaCha8Rng::seed_from_u64(22);
             run(
@@ -753,14 +739,13 @@ mod tests {
             let mut w = FrozenWorkload::new();
             let mut engine = make_engine();
             let mut rng = ChaCha8Rng::seed_from_u64(22);
-            run_events(
+            run(
                 &mut w,
                 &mut engine,
                 RunConfig::for_ticks(TICKS),
                 16.0,
                 4.0,
                 &mut rng,
-                &mut NoopObserver,
             )
             .unwrap()
         };
@@ -791,8 +776,8 @@ mod tests {
     }
 
     /// Same equivalence on a churning workload (origin re-election
-    /// consumes randomness mid-run — both drivers must do it at the
-    /// same stream positions).
+    /// consumes randomness mid-run — both runs must do it at the same
+    /// stream positions).
     #[test]
     fn event_driven_run_matches_dense_under_churn() {
         let make_workload = || {
@@ -817,8 +802,8 @@ mod tests {
             .unwrap()
         };
         let dense = {
-            let mut w = make_workload();
-            let mut engine = make_engine(&w);
+            let mut w = Dense(make_workload());
+            let mut engine = make_engine(&w.0);
             let mut rng = ChaCha8Rng::seed_from_u64(13);
             run(
                 &mut w,
@@ -834,14 +819,13 @@ mod tests {
             let mut w = make_workload();
             let mut engine = make_engine(&w);
             let mut rng = ChaCha8Rng::seed_from_u64(13);
-            run_events(
+            run(
                 &mut w,
                 &mut engine,
                 RunConfig::for_ticks(50),
                 10.0,
                 3.0,
                 &mut rng,
-                &mut NoopObserver,
             )
             .unwrap()
         };
@@ -850,6 +834,76 @@ mod tests {
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
             assert_eq!(a.exact.to_bits(), b.exact.to_bits());
             assert_eq!(a.messages, b.messages);
+        }
+    }
+
+    /// `run_mux` goes through the same loop: on a frozen world a PRED mux
+    /// skips its idle spans too, every executed tick matches the dense
+    /// run's record for every member, and the skipped ticks were pure
+    /// idle holds.
+    #[test]
+    fn mux_run_skips_idle_spans_on_sparse_workloads() {
+        use digest_core::{MuxConfig, NoopMuxObserver};
+        let run_with = |w: &mut dyn FnMut(&mut QueryMux, &mut ChaCha8Rng) -> Vec<RunReport>| {
+            let mut mux = QueryMux::new(MuxConfig::default()).unwrap();
+            for (delta, epsilon) in [(16.0, 4.0), (12.0, 4.0)] {
+                mux.register(ContinuousQuery::avg(
+                    Expr::first_attr(&digest_db::Schema::single("a")),
+                    Precision::new(delta, epsilon, 0.9).unwrap(),
+                ))
+                .unwrap();
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            w(&mut mux, &mut rng)
+        };
+        const TICKS: u64 = 200;
+        let dense = run_with(&mut |mux, rng| {
+            let mut w = Dense(FrozenWorkload::new());
+            run_mux(
+                &mut w,
+                mux,
+                RunConfig::for_ticks(TICKS),
+                rng,
+                &mut NoopMuxObserver,
+            )
+            .unwrap()
+        });
+        let evented = run_with(&mut |mux, rng| {
+            let mut w = FrozenWorkload::new();
+            run_mux(
+                &mut w,
+                mux,
+                RunConfig::for_ticks(TICKS),
+                rng,
+                &mut NoopMuxObserver,
+            )
+            .unwrap()
+        });
+        assert_eq!(dense.len(), 2);
+        assert_eq!(evented.len(), 2);
+        for (d, e) in dense.iter().zip(&evented) {
+            assert_eq!(d.records.len() as u64, TICKS);
+            assert!(
+                (e.records.len() as u64) < TICKS / 2,
+                "PRED mux on a frozen signal must skip most ticks; executed {}",
+                e.records.len()
+            );
+            let dense_by_tick: BTreeMap<u64, &TraceRecord> =
+                d.records.iter().map(|r| (r.tick, r)).collect();
+            for r in &e.records {
+                let dr = dense_by_tick[&r.tick];
+                assert_eq!(r.estimate.to_bits(), dr.estimate.to_bits());
+                assert_eq!(r.exact.to_bits(), dr.exact.to_bits());
+                assert_eq!(r.samples, dr.samples);
+                assert_eq!(r.messages, dr.messages);
+                assert_eq!(r.snapshot, dr.snapshot);
+            }
+            for r in &d.records {
+                if !e.records.iter().any(|x| x.tick == r.tick) {
+                    assert!(!r.snapshot);
+                    assert_eq!(r.messages, 0);
+                }
+            }
         }
     }
 

@@ -15,9 +15,10 @@
 //!   "SELECT MEDIAN(temperature) FROM R WITH delta=3, epsilon=1, p=0.9"
 //! ```
 //!
-//! The CLI builds the requested synthetic world, runs every query
-//! side-by-side, prints each δ-update as it happens next to the oracle
-//! truth, and closes with a cost summary.
+//! The CLI builds the requested synthetic world, serves every query
+//! through one `QueryMux` — one standalone engine per query, or shared
+//! panels and coalesced rounds under `--mux` — prints each δ-update next
+//! to the oracle truth in tick order, and closes with a cost summary.
 //!
 //! `--telemetry <path.jsonl>` additionally streams structured events
 //! (one JSON object per line, sorted keys — see README "Telemetry") to
@@ -33,10 +34,10 @@
 //! trace (span + instant events, `trace`-id envelopes) as Chrome/Perfetto
 //! trace-event JSON.
 
-use digest::audit::{MuxAudit, QueryAudit};
+use digest::audit::MuxAudit;
 use digest::core::{
-    AggregateOp, ContinuousQuery, DigestEngine, EngineConfig, EstimatorKind, MuxConfig, Precision,
-    QueryMux, QuerySystem, SchedulerKind, TickContext, TickObserver,
+    AggregateOp, ContinuousQuery, EstimatorKind, MuxConfig, Precision, QueryMux, QuerySystem,
+    SchedulerKind,
 };
 use digest::db::{Expr, Schema};
 use digest::sampling::SamplingConfig;
@@ -44,7 +45,7 @@ use digest::sim::RunConfig;
 use digest::workload::{
     MemoryConfig, MemoryWorkload, TemperatureConfig, TemperatureWorkload, Workload,
 };
-use digest_telemetry::{registry, Field, JsonlSink, MemorySink, MetricHandle, Stage, TeeSink};
+use digest_telemetry::{JsonlSink, MemorySink, MetricHandle, TeeSink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -59,7 +60,6 @@ struct Options {
     audit: bool,
     audit_json: Option<String>,
     trace_out: Option<String>,
-    event_loop: bool,
     mux: bool,
     queries_spec: Option<String>,
     statements: Vec<String>,
@@ -71,15 +71,10 @@ fn usage() -> ! {
          [--scheduler all|pred<K>] [--estimator indep|rpt] [--seed S] \
          [--sampling-workers N] [--telemetry out.jsonl] [--audit] \
          [--audit-json report.json] [--trace-out trace.json] \
-         [--event-loop] [--mux] [--queries N[@delta,epsilon,p]] \
+         [--mux] [--queries N[@delta,epsilon,p]] \
          [--queries kind+kind+...[@delta,epsilon,p]] \
          \"SELECT ...\" [\"SELECT ...\"]\n\
          \n\
-         --event-loop drives independent engines from scheduler due-time \
-         hints instead of a dense tick sweep: ticks where every engine \
-         reports a pure idle hold and the workload is quiet are skipped \
-         outright. The trace is byte-identical to the dense loop by \
-         contract (hints only ever name provably idle spans).\n\
          --mux serves all statements through one shared QueryMux (shared \
          sample panels, coalesced PRED-k rounds) instead of independent \
          engines; --queries additionally registers N generated AVG \
@@ -223,7 +218,6 @@ fn parse_args() -> Options {
         audit: false,
         audit_json: None,
         trace_out: None,
-        event_loop: false,
         mux: false,
         queries_spec: None,
         statements: Vec::new(),
@@ -234,7 +228,6 @@ fn parse_args() -> Options {
             "--world" => opts.world = args.next().unwrap_or_else(|| usage()),
             "--telemetry" => opts.telemetry = Some(args.next().unwrap_or_else(|| usage())),
             "--audit" => opts.audit = true,
-            "--event-loop" => opts.event_loop = true,
             "--mux" => opts.mux = true,
             "--queries" => {
                 opts.queries_spec = Some(args.next().unwrap_or_else(|| usage()));
@@ -338,15 +331,17 @@ fn print_telemetry_summary() {
     }
 }
 
-/// Serves every query through one shared [`QueryMux`] (shared sample
-/// panels, coalesced PRED-k rounds) and prints per-query updates, the
-/// cost summary, and — under `--audit` — each member's guarantee audit.
-fn serve_mux<W: Workload>(
+/// Serves every query through one [`QueryMux`] — shared sample panels
+/// and coalesced PRED-k rounds under `--mux`, one standalone engine per
+/// query otherwise — and prints per-query updates, the cost summary, and
+/// — under `--audit` — each member's guarantee audit.
+fn serve<W: Workload>(
     world: &mut W,
     opts: &Options,
     queries: Vec<ContinuousQuery>,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let mut mux = QueryMux::new(MuxConfig {
+        sharing: opts.mux,
         scheduler: opts.scheduler,
         estimator: opts.estimator,
         sampling: SamplingConfig {
@@ -370,7 +365,9 @@ fn serve_mux<W: Workload>(
         let q = mux.query(id).ok_or("registered query")?;
         println!("  [{id}] {q}");
     }
-    println!("serving {} queries through one shared mux", ids.len());
+    if opts.mux {
+        println!("serving {} queries through one shared mux", ids.len());
+    }
     println!();
 
     let ticks = opts
@@ -399,20 +396,32 @@ fn serve_mux<W: Workload>(
     }
 
     println!();
-    println!("--- cost summary over {ticks} ticks ({}) ---", mux.name());
-    for &id in &ids {
-        if let Some(totals) = mux.query_totals(id) {
-            println!(
-                "  [{id}] {:>6} snapshots  {:>9} samples  {:>10} messages",
-                totals.snapshots, totals.samples, totals.messages,
-            );
-        }
+    if opts.mux {
+        println!("--- cost summary over {ticks} ticks ({}) ---", mux.name());
+    } else {
+        println!("--- cost summary over {ticks} ticks ---");
     }
-    println!(
-        "  total: {} samples, {} messages",
-        mux.total_samples(),
-        mux.total_messages()
-    );
+    for &id in &ids {
+        let (Some(totals), Some(name)) = (mux.query_totals(id), mux.member_name(id)) else {
+            continue;
+        };
+        let name = if opts.mux {
+            String::new()
+        } else {
+            format!("{name:<14} ")
+        };
+        println!(
+            "  [{id}] {name}{:>6} snapshots  {:>9} samples  {:>10} messages",
+            totals.snapshots, totals.samples, totals.messages,
+        );
+    }
+    if opts.mux {
+        println!(
+            "  total: {} samples, {} messages",
+            mux.total_samples(),
+            mux.total_messages()
+        );
+    }
 
     if auditing {
         let audit_reports = audit.reports();
@@ -487,174 +496,7 @@ fn run<W: Workload>(mut world: W, opts: &Options) -> Result<(), Box<dyn std::err
         queries.extend(parse_fleet_spec(spec, &schema)?);
     }
 
-    if opts.mux {
-        serve_mux(&mut world, opts, queries)?;
-        if sink_installed {
-            digest_telemetry::flush();
-            digest_telemetry::take_sink();
-            digest_telemetry::set_span_events(false);
-        }
-        if let (Some(path), Some(buffer)) = (&opts.trace_out, &trace_buffer) {
-            std::fs::write(path, digest::audit::chrome_trace_json(&buffer.lines()))?;
-        }
-        if opts.telemetry.is_some() {
-            print_telemetry_summary();
-        }
-        return Ok(());
-    }
-
-    let mut engines: Vec<DigestEngine> = queries
-        .iter()
-        .map(|q| {
-            DigestEngine::new(
-                q.clone(),
-                EngineConfig {
-                    scheduler: opts.scheduler,
-                    estimator: opts.estimator,
-                    sampling: SamplingConfig {
-                        workers: opts
-                            .sampling_workers
-                            .unwrap_or_else(digest::sampling::default_workers),
-                        ..SamplingConfig::recommended(world.graph().node_count())
-                    },
-                    ..Default::default()
-                },
-            )
-        })
-        .collect::<Result<_, _>>()?;
-    for (i, q) in queries.iter().enumerate() {
-        println!("  [{i}] {q}");
-    }
-    println!();
-
-    let auditing = opts.audit || opts.audit_json.is_some();
-    let mut audits: Vec<QueryAudit> = if auditing {
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| QueryAudit::new(q, i as u64))
-            .collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
-
-    let ticks = opts
-        .ticks
-        .unwrap_or_else(|| world.duration())
-        .min(world.duration());
-    let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
-    let mut origin = world.graph().nodes().next().ok_or("world has no nodes")?;
-    let mut tick = 0u64;
-    while tick < ticks {
-        digest_telemetry::set_tick(tick);
-        // `advance_to` replays one `advance` per consecutive tick, so the
-        // dense path is unchanged; under --event-loop it carries sparse
-        // workloads across skipped quiet spans without touching the RNG.
-        world.advance_to(tick, &mut rng);
-        if !world.graph().contains(origin) {
-            origin = world.graph().random_node(&mut rng)?;
-        }
-        for (i, engine) in engines.iter_mut().enumerate() {
-            let (outcome, exact) = {
-                let ctx = TickContext {
-                    tick,
-                    graph: world.graph(),
-                    db: world.db(),
-                    origin,
-                };
-                let outcome = engine.on_tick(&ctx, &mut rng)?;
-                // Restore this engine's occasion trace id: with several
-                // queries per run the global register still holds the
-                // *last* engine's id after `on_tick`.
-                digest_telemetry::set_trace(engine.trace_id());
-                let exact = {
-                    let _span = digest_telemetry::span(Stage::Oracle);
-                    registry::SIM_ORACLE_PASSES.inc();
-                    engine
-                        .oracle_truth(&ctx)
-                        .unwrap_or_else(|| world.exact_aggregate())
-                };
-                if let Some(audit) = audits.get_mut(i) {
-                    audit.observe(&ctx, &outcome, exact);
-                }
-                (outcome, exact)
-            };
-            if digest_telemetry::events_enabled() {
-                digest_telemetry::emit(
-                    "tick",
-                    &[
-                        ("estimate", Field::F64(outcome.estimate)),
-                        ("exact", Field::F64(exact)),
-                        ("snapshot", Field::Bool(outcome.snapshot_executed)),
-                        ("samples", Field::U64(outcome.samples_this_tick)),
-                        ("fresh", Field::U64(outcome.fresh_samples_this_tick)),
-                        ("messages", Field::U64(outcome.messages_this_tick)),
-                        ("updated", Field::U64(u64::from(outcome.updated))),
-                        ("query", Field::U64(i as u64)),
-                    ],
-                );
-            }
-            if outcome.updated {
-                println!(
-                    "t={tick:>5}  [{i}] UPDATE  X̂ = {:>12.3}   (oracle = {exact:>10.3})",
-                    outcome.estimate,
-                );
-            }
-        }
-        // Dense sweep unless --event-loop: then skip straight to the
-        // earliest tick any engine or the workload needs. A `None` hint
-        // from either side means "cannot predict" and forces tick + 1,
-        // so the skip only ever covers provably idle spans and the trace
-        // stays byte-identical to the dense loop.
-        tick = if opts.event_loop {
-            let mut due = Some(u64::MAX);
-            for engine in &mut engines {
-                match engine.next_due(tick) {
-                    Some(t) => due = due.map(|d: u64| d.min(t)),
-                    None => {
-                        due = None;
-                        break;
-                    }
-                }
-            }
-            match (world.next_activity(), due) {
-                (Some(w), Some(s)) => w.min(s).max(tick + 1),
-                _ => tick + 1,
-            }
-        } else {
-            tick + 1
-        };
-    }
-
-    println!();
-    println!("--- cost summary over {ticks} ticks ---");
-    for (i, engine) in engines.iter().enumerate() {
-        println!(
-            "  [{i}] {:<14} {:>6} snapshots  {:>9} samples  {:>10} messages",
-            engine.name(),
-            engine.total_snapshots(),
-            engine.total_samples(),
-            engine.total_messages(),
-        );
-    }
-    if !audits.is_empty() {
-        let reports: Vec<digest::audit::AuditReport> =
-            audits.iter().map(QueryAudit::report).collect();
-        if opts.audit {
-            println!();
-            println!("--- guarantee audit ---");
-            for report in &reports {
-                print!("{}", report.render_table());
-            }
-        }
-        if let Some(path) = &opts.audit_json {
-            let value =
-                serde_json::Value::Array(reports.iter().map(|r| r.to_json_value()).collect());
-            let mut text = serde_json::to_string_pretty(&value)?;
-            text.push('\n');
-            std::fs::write(path, text)?;
-        }
-    }
+    serve(&mut world, opts, queries)?;
     if sink_installed {
         digest_telemetry::flush();
         digest_telemetry::take_sink();
