@@ -22,6 +22,7 @@
 use crate::error::CoreError;
 use crate::query::{AggregateOp, ContinuousQuery};
 use crate::system::{QuerySystem, TickContext, TickOutcome};
+use crate::truth::Pass;
 use crate::Result;
 use digest_db::TupleHandle;
 use digest_net::{Graph, NodeId};
@@ -67,6 +68,9 @@ impl DistanceCache {
 pub struct PushAllEngine {
     query: ContinuousQuery,
     distances: DistanceCache,
+    /// The querier's exact finish over the pushed tuples, reused across
+    /// ticks.
+    pass: Pass,
     current_estimate: f64,
     last_reported: f64,
     total_messages: u64,
@@ -78,6 +82,7 @@ impl PushAllEngine {
     #[must_use]
     pub fn new(query: ContinuousQuery) -> Self {
         Self {
+            pass: Pass::for_op(query.op),
             query,
             distances: DistanceCache::default(),
             current_estimate: 0.0,
@@ -95,70 +100,23 @@ impl QuerySystem for PushAllEngine {
 
     fn on_tick(&mut self, ctx: &TickContext<'_>, _rng: &mut dyn RngCore) -> Result<TickOutcome> {
         let mut messages = 0u64;
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        let mut values = Vec::new();
-        let want_median = matches!(self.query.op, AggregateOp::Median) || self.query.op.is_sketch();
+        // Flooding pushes every tuple to the querier, which then finishes
+        // the exact answer the way the oracle does (DESIGN.md §17 cell
+        // domain for the sketch kinds).
+        self.pass.clear(ctx.db.total_tuples());
         for (handle, tuple) in ctx.db.iter() {
             // Every tuple is pushed (cost) — the querier filters locally.
             messages += self.distances.get(ctx.graph, ctx.origin, handle.node);
-            if !self.query.predicate.eval(tuple).unwrap_or(false) {
-                continue;
-            }
-            let value = self.query.expr.eval(tuple)?;
-            sum += value;
-            count += 1;
-            if want_median {
-                values.push(value);
+            if self.query.predicate.eval(tuple).unwrap_or(false) {
+                self.pass.push(self.query.expr.eval(tuple)?);
             }
         }
-        let estimate = match self.query.op {
-            AggregateOp::Avg => {
-                if count == 0 {
-                    self.current_estimate
-                } else {
-                    sum / count as f64
-                }
-            }
-            AggregateOp::Sum => sum,
-            AggregateOp::Count => count as f64,
-            AggregateOp::Median | AggregateOp::Percentile { .. } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    values.sort_by(f64::total_cmp);
-                    // quantile_rank is Some for both arms by construction.
-                    let q = self.query.op.quantile_rank().unwrap_or(0.5);
-                    digest_stats::sample_quantile(&values, q)
-                        .map_err(digest_sampling::SamplingError::from)
-                        .map_err(CoreError::from)?
-                }
-            }
-            // Flooding pushes every tuple to the querier, which can then
-            // count cells exactly (DESIGN.md §17 cell domain).
-            AggregateOp::Distinct => {
-                let cells: std::collections::BTreeSet<i64> = values
-                    .iter()
-                    .map(|v| digest_sketch::value_cell(*v))
-                    .collect();
-                cells.len() as f64
-            }
-            AggregateOp::TopK { k } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    let mut counts: std::collections::BTreeMap<i64, u64> =
-                        std::collections::BTreeMap::new();
-                    for v in &values {
-                        *counts.entry(digest_sketch::value_cell(*v)).or_insert(0) += 1;
-                    }
-                    let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
-                    entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
-                    let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
-                    (top as f64 / values.len() as f64).clamp(0.0, 1.0)
-                }
-            }
-        };
+        self.pass.seal();
+        // Undefined answers (nothing qualified) hold the previous one.
+        let estimate = self
+            .pass
+            .finish(self.query.op)
+            .unwrap_or(self.current_estimate);
         self.current_estimate = estimate;
         let updated = self.last_reported.is_nan()
             || (estimate - self.last_reported).abs() >= self.query.precision.delta;

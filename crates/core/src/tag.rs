@@ -20,6 +20,7 @@
 
 use crate::query::{AggregateOp, ContinuousQuery};
 use crate::system::{QuerySystem, TickContext, TickOutcome};
+use crate::truth::Pass;
 use crate::Result;
 use digest_net::NodeId;
 use rand::RngCore;
@@ -50,6 +51,9 @@ pub struct TreeAggregationEngine {
     parent: Vec<Option<NodeId>>,
     root: Option<NodeId>,
     ticks_since_rebuild: u64,
+    /// The root's finish over the partials that reached it, reused
+    /// across epochs.
+    pass: Pass,
     current_estimate: f64,
     last_reported: f64,
     total_messages: u64,
@@ -61,6 +65,7 @@ impl TreeAggregationEngine {
     #[must_use]
     pub fn new(query: ContinuousQuery, config: TagConfig) -> Self {
         Self {
+            pass: Pass::for_op(finishing_op(query.op)),
             query,
             config,
             parent: Vec::new(),
@@ -133,6 +138,16 @@ impl TreeAggregationEngine {
     }
 }
 
+/// The operation TAG's root finishes: `MEDIAN` is not decomposable into
+/// in-network partials, so TAG answers it with the `AVG` partial.
+fn finishing_op(op: AggregateOp) -> AggregateOp {
+    if matches!(op, AggregateOp::Median) {
+        AggregateOp::Avg
+    } else {
+        op
+    }
+}
+
 impl QuerySystem for TreeAggregationEngine {
     fn name(&self) -> &str {
         "TAG"
@@ -148,14 +163,10 @@ impl QuerySystem for TreeAggregationEngine {
 
         // Epoch: every tree node sends one partial-aggregate message to
         // its parent; fragments whose path to the root is broken are lost.
-        let mut sum = 0.0;
-        let mut count = 0u64;
-        let mut members = 0u64;
         // Sketch kinds (DESIGN.md §17): in-network partials push every
         // qualifying value to the querier, which finalizes exactly over
         // whatever fragments stayed connected.
-        let want_values = self.query.op.is_sketch();
-        let mut values: Vec<f64> = Vec::new();
+        self.pass.clear(0);
         for node in ctx.graph.nodes() {
             if self
                 .parent
@@ -169,72 +180,24 @@ impl QuerySystem for TreeAggregationEngine {
             if node != ctx.origin {
                 messages += 1; // one partial aggregate up the tree
             }
-            members += 1;
             if !self.connected_to_root(ctx, node) {
                 continue; // fragmented subtree: data silently lost
             }
             if ctx.db.has_node(node) {
-                for (handle, tuple) in ctx.db.iter().filter(|(h, _)| h.node == node) {
-                    let _ = handle;
-                    if !self.query.predicate.eval(tuple).unwrap_or(false) {
-                        continue;
-                    }
-                    let value = self.query.expr.eval(tuple)?;
-                    sum += value;
-                    count += 1;
-                    if want_values {
-                        values.push(value);
+                for (_, tuple) in ctx.db.iter().filter(|(h, _)| h.node == node) {
+                    if self.query.predicate.eval(tuple).unwrap_or(false) {
+                        self.pass.push(self.query.expr.eval(tuple)?);
                     }
                 }
             }
         }
-        let _ = members;
-
-        let estimate = match self.query.op {
-            AggregateOp::Avg | AggregateOp::Median => {
-                if count == 0 {
-                    self.current_estimate
-                } else {
-                    sum / count as f64
-                }
-            }
-            AggregateOp::Sum => sum,
-            AggregateOp::Count => count as f64,
-            AggregateOp::Percentile { .. } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    values.sort_by(f64::total_cmp);
-                    // quantile_rank is Some for Percentile by construction.
-                    let q = self.query.op.quantile_rank().unwrap_or(0.5);
-                    digest_stats::sample_quantile(&values, q)
-                        .map_err(digest_sampling::SamplingError::from)
-                        .map_err(crate::CoreError::from)?
-                }
-            }
-            AggregateOp::Distinct => {
-                let cells: std::collections::BTreeSet<i64> = values
-                    .iter()
-                    .map(|v| digest_sketch::value_cell(*v))
-                    .collect();
-                cells.len() as f64
-            }
-            AggregateOp::TopK { k } => {
-                if values.is_empty() {
-                    self.current_estimate
-                } else {
-                    let mut counts: std::collections::BTreeMap<i64, u64> =
-                        std::collections::BTreeMap::new();
-                    for v in &values {
-                        *counts.entry(digest_sketch::value_cell(*v)).or_insert(0) += 1;
-                    }
-                    let mut entries: Vec<(i64, u64)> = counts.into_iter().collect();
-                    entries.sort_by(|(ka, ca), (kb, cb)| cb.cmp(ca).then(ka.cmp(kb)));
-                    let top: u64 = entries.iter().take(usize::from(k)).map(|(_, c)| *c).sum();
-                    (top as f64 / values.len() as f64).clamp(0.0, 1.0)
-                }
-            }
-        };
+        self.pass.seal();
+        // Undefined answers (nothing reached the root) hold the previous
+        // one.
+        let estimate = self
+            .pass
+            .finish(finishing_op(self.query.op))
+            .unwrap_or(self.current_estimate);
         self.current_estimate = estimate;
         let updated = self.last_reported.is_nan()
             || (estimate - self.last_reported).abs() >= self.query.precision.delta;

@@ -66,30 +66,57 @@ impl Pass {
         expr: &Expr,
         predicate: &Predicate,
     ) -> digest_db::Result<()> {
-        match self {
-            Pass::Moments { sum, count } => {
-                (*sum, *count) = db.sum_count_where(expr, predicate)?;
+        if let Pass::Moments { sum, count } = self {
+            (*sum, *count) = db.sum_count_where(expr, predicate)?;
+            return Ok(());
+        }
+        self.clear(db.total_tuples());
+        for (_, tuple) in db.iter() {
+            if predicate.eval(tuple)? {
+                self.push(expr.eval(tuple)?);
             }
+        }
+        self.seal();
+        Ok(())
+    }
+
+    /// Empties the pass for a new scan of up to `tuples` values.
+    pub(crate) fn clear(&mut self, tuples: usize) {
+        match self {
+            Pass::Moments { sum, count } => (*sum, *count) = (0.0, 0),
             Pass::Sorted(values) => {
                 values.clear();
-                values.reserve(db.total_tuples());
-                for (_, tuple) in db.iter() {
-                    if predicate.eval(tuple)? {
-                        values.push(expr.eval(tuple)?);
-                    }
-                }
-                // Values equal under `total_cmp` have equal bits, so the
-                // unstable sort yields the same vector as a stable one.
-                values.sort_unstable_by(f64::total_cmp);
+                values.reserve(tuples);
             }
             Pass::Cells { cells, total } => {
                 cells.clear();
-                cells.reserve(db.total_tuples());
-                for (_, tuple) in db.iter() {
-                    if predicate.eval(tuple)? {
-                        cells.push((digest_sketch::value_cell(expr.eval(tuple)?), 1));
-                    }
-                }
+                cells.reserve(tuples);
+                *total = 0;
+            }
+        }
+    }
+
+    /// Folds one qualifying value into the scan.
+    pub(crate) fn push(&mut self, value: f64) {
+        match self {
+            Pass::Moments { sum, count } => {
+                *sum += value;
+                *count += 1;
+            }
+            Pass::Sorted(values) => values.push(value),
+            Pass::Cells { cells, .. } => cells.push((digest_sketch::value_cell(value), 1)),
+        }
+    }
+
+    /// Ends the scan: puts the family's scratch in the order
+    /// [`Pass::finish`] reads.
+    pub(crate) fn seal(&mut self) {
+        match self {
+            Pass::Moments { .. } => {}
+            // Values equal under `total_cmp` have equal bits, so the
+            // unstable sort yields the same vector as a stable one.
+            Pass::Sorted(values) => values.sort_unstable_by(f64::total_cmp),
+            Pass::Cells { cells, total } => {
                 *total = cells.len() as u64;
                 cells.sort_unstable_by_key(|&(cell, _)| cell);
                 // Fold each run of one cell into its first entry.
@@ -103,7 +130,6 @@ impl Pass {
                 cells.sort_unstable_by_key(|&(_, n)| std::cmp::Reverse(n));
             }
         }
-        Ok(())
     }
 
     /// `op`'s exact answer from this pass: `None` where the answer is

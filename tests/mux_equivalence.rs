@@ -36,10 +36,13 @@ fn workload(seed: u64) -> TemperatureWorkload {
     })
 }
 
-/// Heterogeneous member contracts: two plain AVGs at different (δ, ε, p)
-/// and one predicate AVG — all consuming the same shared panel.
+/// Heterogeneous member contracts: two plain AVGs at different (δ, ε, p),
+/// one predicate AVG, a SUM (scaled by `N̂`) and a `COUNT(*) WHERE`
+/// (scaled by `N̂` and the decayed selectivity) — all consuming the same
+/// shared panel.
 fn queries(w: &TemperatureWorkload) -> Vec<ContinuousQuery> {
     let schema = w.db().schema();
+    let statement = |text: &str| ContinuousQuery::parse(text, schema).unwrap();
     vec![
         ContinuousQuery::avg(
             Expr::first_attr(schema),
@@ -54,6 +57,10 @@ fn queries(w: &TemperatureWorkload) -> Vec<ContinuousQuery> {
             Precision::new(4.0, 3.0, 0.90).unwrap(),
         )
         .with_predicate(Predicate::parse("temperature > 60", schema).unwrap()),
+        statement("SELECT SUM(temperature) FROM R WITH delta=2000, epsilon=1000, p=0.9"),
+        statement(
+            "SELECT COUNT(*) FROM R WHERE temperature > 60 WITH delta=100, epsilon=50, p=0.9",
+        ),
     ]
 }
 
@@ -64,8 +71,8 @@ fn mux_config(sharing: bool) -> MuxConfig {
     }
 }
 
-/// Per-query estimate streams of a mux run, as bit patterns.
-fn mux_streams(seed: u64, workers: usize, sharing: bool) -> Vec<Vec<u64>> {
+/// Per-query record streams of a mux run, every field as bits.
+fn mux_streams(seed: u64, workers: usize, sharing: bool) -> Vec<Vec<[u64; 8]>> {
     let mut w = workload(seed);
     let mut mux = QueryMux::new(mux_config(sharing)).unwrap();
     for q in queries(&w) {
@@ -85,13 +92,14 @@ fn mux_streams(seed: u64, workers: usize, sharing: bool) -> Vec<Vec<u64>> {
     .unwrap();
     reports
         .iter()
-        .map(|r| r.records.iter().map(|t| t.estimate.to_bits()).collect())
+        .map(|r| r.records.iter().map(record_bits).collect())
         .collect()
 }
 
-/// The same run shape, but N standalone engines driven in query order —
-/// exactly what a driver without a mux would do.
-fn independent_streams(seed: u64, workers: usize) -> Vec<Vec<u64>> {
+/// The same run shape, but N standalone engines driven in query order,
+/// each scored by its own oracle — exactly what a driver without a mux
+/// would do.
+fn independent_streams(seed: u64, workers: usize) -> Vec<Vec<[u64; 8]>> {
     let mut w = workload(seed);
     let mut engines: Vec<DigestEngine> = queries(&w)
         .into_iter()
@@ -128,15 +136,29 @@ fn independent_streams(seed: u64, workers: usize) -> Vec<Vec<u64>> {
             origin,
         };
         for (engine, stream) in engines.iter_mut().zip(streams.iter_mut()) {
-            let outcome = engine.on_tick(&ctx, &mut rng).unwrap();
-            stream.push(outcome.estimate.to_bits());
+            let o = engine.on_tick(&ctx, &mut rng).unwrap();
+            let exact = engine
+                .oracle_truth(&ctx)
+                .unwrap_or_else(|| w.exact_aggregate());
+            stream.push(record_bits(&TraceRecord {
+                tick,
+                exact,
+                estimate: o.estimate,
+                updated: o.updated,
+                snapshot: o.snapshot_executed,
+                samples: o.samples_this_tick,
+                fresh_samples: o.fresh_samples_this_tick,
+                messages: o.messages_this_tick,
+            }));
         }
     }
     streams
 }
 
-/// Sharing off ⇒ the mux is byte-for-byte the N-independent-engines
-/// driver, for every seed and worker count.
+/// Sharing off ⇒ `run_mux` over the mux — the CLI's path without `--mux`
+/// — is byte-for-byte the N-independent-engines driver, every record
+/// field included (so SUM/COUNT pin `N̂` and the selectivity too), for
+/// every seed and worker count.
 fn check_unshared_identity() {
     for &seed in &SEEDS {
         for &workers in &WORKERS {
@@ -150,9 +172,13 @@ fn check_unshared_identity() {
     }
 }
 
-/// Sharing on ⇒ every member's audited ε-violation rate stays within its
-/// own binomial bound (aggregated across seeds for statistical power),
-/// and streams are worker-count independent.
+/// Sharing on ⇒ every AVG member's audited ε-violation rate stays within
+/// its own binomial bound (aggregated across seeds for statistical
+/// power), and every member's stream is worker-count independent. The
+/// SUM and COUNT members ride along ungated: their panels are sized for ε
+/// on the AVG scale and `N̂` is never sized for ε at all, so they miss
+/// their contracts today (ROADMAP item 1 fixes that sizing and gates
+/// them).
 fn check_shared_contract() {
     let n_queries = 3;
     let mut violations = vec![0u64; n_queries];
@@ -193,7 +219,7 @@ fn check_shared_contract() {
                     .collect::<Vec<_>>(),
             );
             if workers == WORKERS[0] {
-                for (i, (_, report)) in audit.reports().into_iter().enumerate() {
+                for (i, (_, report)) in audit.reports().into_iter().take(n_queries).enumerate() {
                     violations[i] += report.violations;
                     occasions[i] += report.occasions;
                     confidences[i] = report.confidence;
