@@ -11,11 +11,11 @@
 //!   both with and without `--telemetry` — and byte-diff the stdout
 //!   traces and the JSONL event streams. Also replays each scenario
 //!   with `--sampling-workers 4` and requires the trace to match the
-//!   inline run byte-for-byte (worker-count independence), and with
-//!   `--event-loop` to prove the hint-driven event scheduler replays
-//!   the dense tick sweep exactly. A sketch-aggregate leg replays the
-//!   `p90+distinct+top4` mux mix the same way (replay + workers=4
-//!   byte-identity) since sweep estimators must be RNG-free. Exits
+//!   inline run byte-for-byte (worker-count independence). One scenario
+//!   serves several statements without `--mux` (one standalone engine per
+//!   query, driven through the same mux runner). A sketch-aggregate leg
+//!   replays the `p90+distinct+top4` mux mix the same way (replay +
+//!   workers=4 byte-identity) since sweep estimators must be RNG-free. Exits
 //!   non-zero on any divergence (including telemetry perturbing the
 //!   plain trace).
 //! * `telemetry-schema` — run a fixed-seed scenario with `--telemetry`
@@ -222,10 +222,12 @@ fn github_escape_property(s: &str) -> String {
         .replace(',', "%2C")
 }
 
-/// The fixed-seed scenario replayed twice by `cargo xtask determinism`.
+/// The fixed-seed scenarios replayed twice by `cargo xtask determinism`.
 ///
 /// Exercises both worlds, both estimator kinds, and the PRED scheduler so
-/// the diff covers the whole sim → sampling → estimator → scheduler stack.
+/// the diff covers the whole sim → sampling → estimator → scheduler stack;
+/// the last serves a `COUNT(*) WHERE` and a `MEDIAN` side by side without
+/// `--mux`, so several standalone engines share one run.
 const DETERMINISM_RUNS: &[(&str, &[&str])] = &[
     (
         "temperature/rpt",
@@ -257,6 +259,19 @@ const DETERMINISM_RUNS: &[(&str, &[&str])] = &[
             "--estimator",
             "indep",
             "SELECT AVG(memory) FROM R WITH delta=200, epsilon=50, p=0.9",
+        ],
+    ),
+    (
+        "memory/solo-mix",
+        &[
+            "--world",
+            "memory",
+            "--ticks",
+            "40",
+            "--seed",
+            "8675309",
+            "SELECT COUNT(*) FROM R WHERE memory > 500 WITH delta=20, epsilon=10, p=0.9",
+            "SELECT MEDIAN(memory) FROM R WITH delta=50, epsilon=25, p=0.9",
         ],
     ),
 ];
@@ -357,32 +372,6 @@ fn run_determinism(root: &Path) -> ExitCode {
             Err(e) => {
                 println!("ERROR");
                 eprintln!("xtask determinism: scenario {label} (workers=4): {e}");
-                all_identical = false;
-            }
-        }
-
-        // Re-run with the event-driven scheduler loop: due-time hints
-        // may only ever name provably idle spans, so replacing the dense
-        // tick sweep with hint-driven skipping must not move a byte of
-        // the trace.
-        print!("xtask determinism: scenario {label} (--event-loop) ... ");
-        let mut event_args: Vec<&str> = vec!["--event-loop"];
-        event_args.extend_from_slice(args);
-        match capture(&cli, &event_args, root) {
-            Ok(evented) => match &plain {
-                Some(plain) if *plain == evented => {
-                    println!("identical ({} trace bytes)", evented.len());
-                }
-                Some(plain) => {
-                    println!("DIVERGED (event loop leaked into the trace)");
-                    report_divergence(plain, &evented);
-                    all_identical = false;
-                }
-                None => println!("skipped (no plain trace to compare against)"),
-            },
-            Err(e) => {
-                println!("ERROR");
-                eprintln!("xtask determinism: scenario {label} (--event-loop): {e}");
                 all_identical = false;
             }
         }
